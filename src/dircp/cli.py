@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .comms import ScorerParams
 from .config import ConfigError, RunConfig, effective_config_text, load_config, schema_help
-from .evaluate import CONVENTIONS, run_method, sweep, train_sigma_scorers
+from .evaluate import CONVENTIONS, score_result, sweep, train_sigma_scorers
 from .fusion import attention_trace_csv
 from .grid import GridSpec
 from .learn import (
@@ -110,25 +110,24 @@ def cmd_run(args) -> int:
     cfg, out_dir, grid = _load(args)
     scorer = _scorer_for(cfg, args.scorer_checkpoint)
     results = []
-    trace_text = None
+    first_run = None
     for seed in cfg.seeds:
         world = generate(replace(cfg.scenario, seed=seed), grid=grid)
         scene = prepare_scene(world, cfg.settings)
         for method in cfg.methods:
             params = None if method == "single" else scorer
-            results.append(run_method(world, method, cfg.settings.q_max,
-                                      cfg.settings, scorer_params=params,
-                                      scene=scene))
-            if trace_text is None:
-                pipe = run_pipeline(scene, method, cfg.settings.q_max,
-                                    cfg.settings, params)
-                trace_text = attention_trace_csv(pipe.fused)
+            pipe = run_pipeline(scene, method, cfg.settings.q_max, cfg.settings, params)
+            results.append(score_result(world, scene, pipe, cfg.settings.q_max,
+                                        cfg.settings))
+            if first_run is None:
+                first_run = pipe
     if "json" in cfg.formats:
         write_text(out_dir / "report.json", run_report_json(results, CONVENTIONS))
     if "csv" in cfg.formats:
         write_text(out_dir / "report.csv",
                    per_seed_csv(results, cfg.settings.iou_thresholds))
-        write_text(out_dir / "attention_trace.csv", trace_text or "")
+        write_text(out_dir / "attention_trace.csv",
+                   attention_trace_csv(first_run.fused) if first_run else "")
     return EXIT_OK
 
 
@@ -149,7 +148,7 @@ def cmd_sweep(args) -> int:
                                       learning_rate=args.train_lr,
                                       hidden=cfg.scorer_hidden, grid=grid)
     result = sweep(cfg.scenario, cfg.settings, budgets, sigmas, seeds,
-                   methods=cfg.methods, scorers=scorers, jobs=max(1, args.jobs),
+                   methods=cfg.methods, scorers=scorers, jobs=args.jobs,
                    grid=grid)
     if "csv" in cfg.formats:
         write_text(out_dir / "sweep.csv",

@@ -1,4 +1,21 @@
-"""Query scoring, budget-constrained clipping, messages, and the wire format."""
+"""Query scoring, budget-constrained clipping, messages, and the wire format.
+
+A feature message travels as one little-endian DCPM payload:
+
+    offset  size  field
+    0       4     magic b"DCPM"
+    4       2     u16 version (1)
+    6       2     u16 sender agent id
+    8       2     u16 receiver agent id
+    10      4     u32 entry count n
+    14      2     u16 feature width D (>= 1)
+    16      2     u16 reserved (0)
+    18      ...   n entries of (u16 row, u16 col, D x f32 values)
+
+so a payload is exactly 18 + n * (4 + 4 D) bytes. Entries are packed with no
+padding, in the sender's row-major order; receivers reject a bad header or
+length, an out-of-grid cell and a non-finite value.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +32,11 @@ WIRE_MAGIC = b"DCPM"
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sHHHIHH")  # magic, version, sender, receiver, count, D, reserved
 HEADER_SIZE = _HEADER.size
+
+
+def _entry_dtype(d: int) -> np.dtype:
+    """One wire entry: u16 row, u16 col, D f32 values, packed little-endian."""
+    return np.dtype([("row", "<u2"), ("col", "<u2"), ("values", "<f4", (d,))])
 
 
 class ShapeMismatch(ValueError):
@@ -50,7 +72,6 @@ class QueryMap:
 
     bits: np.ndarray = field(repr=False)  # (H, W, N-1) uint8
     budget: float
-    q0_mode: str = "ones"
 
     def __post_init__(self):
         b = np.asarray(self.bits)
@@ -63,39 +84,41 @@ class QueryMap:
             raise ValueError("query map violates the aggregate budget bound")
         object.__setattr__(self, "bits", b.astype(np.uint8))
 
-    def activated(self, channel: int) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(self.bits[:, :, channel])
-        return list(zip(rows.tolist(), cols.tolist()))
-
 
 @dataclass(frozen=True)
 class FeatureMessage:
-    """Sparse feature payload from one collaborator to the ego."""
+    """Sparse feature payload from one collaborator to the ego.
+
+    Entry i carries values[i] (f32, width D) for cell (rows[i], cols[i]).
+    """
 
     sender: int
     receiver: int
-    entries: tuple[tuple[int, int, np.ndarray], ...]
-    d: int
-    payload_bytes: int = 0
+    rows: np.ndarray = field(repr=False)    # (n,)
+    cols: np.ndarray = field(repr=False)    # (n,)
+    values: np.ndarray = field(repr=False)  # (n, D) float32
 
     def __post_init__(self):
-        for r, c, vec in self.entries:
-            if len(vec) != self.d:
-                raise ShapeMismatch("entry width disagrees with D")
-        expected = HEADER_SIZE + len(self.entries) * (4 + 4 * self.d)
-        if self.payload_bytes == 0:
-            object.__setattr__(self, "payload_bytes", expected)
-        elif self.payload_bytes != expected:
-            raise ValueError("payload_bytes inconsistent with serialized length")
+        n = len(self.rows)
+        if self.rows.shape != (n,) or self.cols.shape != (n,) \
+                or self.values.ndim != 2 or self.values.shape[0] != n:
+            raise ShapeMismatch("rows, cols and values disagree on the entry count")
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def payload_bytes(self) -> int:
+        return HEADER_SIZE + len(self.rows) * (4 + 4 * self.d)
 
     def __eq__(self, other):
         if not isinstance(other, FeatureMessage):
             return NotImplemented
         return (self.sender == other.sender and self.receiver == other.receiver
-                and self.d == other.d and self.payload_bytes == other.payload_bytes
-                and len(self.entries) == len(other.entries)
-                and all(a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2])
-                        for a, b in zip(self.entries, other.entries)))
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.values, other.values))
 
 
 @dataclass
@@ -226,7 +249,7 @@ def per_collaborator_budget(q_max: float, h: int, w: int) -> int:
     return int(math.floor(q_max * h * w))
 
 
-def clip_queries(c: QueryConfidenceMap, q_max: float, q0_mode: str = "ones",
+def clip_queries(c: QueryConfidenceMap, q_max: float,
                  tie_break: str = "per_collaborator") -> QueryMap:
     """Top-k budget clipping of a confidence map.
 
@@ -259,7 +282,7 @@ def clip_queries(c: QueryConfidenceMap, q_max: float, q0_mode: str = "ones",
         chosen = chosen[flat[chosen] > 0.0]
         rows, cols, chans = np.unravel_index(chosen, (h, w, k))
         bits[rows, cols, chans] = 1
-    return QueryMap(bits, q_max, q0_mode)
+    return QueryMap(bits, q_max)
 
 
 def build_message(query: QueryMap, sender_features: BevFeatureMap, sender: int,
@@ -274,31 +297,34 @@ def build_message(query: QueryMap, sender_features: BevFeatureMap, sender: int,
         raise ShapeMismatch("query map and sender features disagree on grid shape")
     if not (1 <= sender <= k):
         raise ShapeMismatch(f"sender {sender} has no query channel (1..{k})")
-    entries = tuple((r, c, sender_features.values[r, c].astype(np.float32))
-                    for r, c in query.activated(sender - 1))
-    return FeatureMessage(sender=sender, receiver=receiver, entries=entries,
-                          d=sender_features.d)
+    rows, cols = np.nonzero(query.bits[:, :, sender - 1])
+    return FeatureMessage(sender, receiver, rows, cols,
+                          sender_features.values[rows, cols].astype(np.float32))
 
 
 def message_to_sparse(msg: FeatureMessage, shape: tuple[int, int, int]) -> SparseFeatureMap:
-    entries = tuple((r, c, vec.astype(np.float64)) for r, c, vec in msg.entries)
-    return SparseFeatureMap(entries, shape)
+    return SparseFeatureMap(msg.rows, msg.cols, msg.values.astype(np.float64), shape)
 
 
 def serialize(msg: FeatureMessage) -> bytes:
-    """Little-endian wire encoding; see module docs for the exact layout."""
-    out = bytearray(_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, msg.sender, msg.receiver,
-                                 len(msg.entries), msg.d, 0))
-    entry = struct.Struct(f"<HH{msg.d}f")
-    for r, c, vec in msg.entries:
-        out += entry.pack(r, c, *np.asarray(vec, dtype=np.float32))
-    if len(out) != msg.payload_bytes:
-        raise ValueError("serialized length disagrees with payload_bytes")
-    return bytes(out)
+    """Little-endian wire encoding; see the module docstring for the layout."""
+    if len(msg.rows) and (min(msg.rows.min(), msg.cols.min()) < 0
+                          or max(msg.rows.max(), msg.cols.max()) > 0xFFFF):
+        raise ValueError("cell index outside the u16 wire range")
+    entries = np.empty(len(msg.rows), dtype=_entry_dtype(msg.d))
+    entries["row"] = msg.rows
+    entries["col"] = msg.cols
+    entries["values"] = msg.values
+    return _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, msg.sender, msg.receiver,
+                        len(entries), msg.d, 0) + entries.tobytes()
 
 
 def deserialize(data: bytes, grid_shape: tuple[int, int] | None = None) -> FeatureMessage:
-    """Parse a wire payload, raising MalformedMessage on any structural defect."""
+    """Parse a wire payload, raising MalformedMessage on any structural defect.
+
+    Duplicate cells are not a wire defect: they parse, and SparseFeatureMap
+    rejects them when the message is turned into a received map.
+    """
     if len(data) < HEADER_SIZE:
         raise MalformedMessage(f"truncated header: {len(data)} bytes")
     magic, version, sender, receiver, count, d, reserved = _HEADER.unpack_from(data)
@@ -310,23 +336,20 @@ def deserialize(data: bytes, grid_shape: tuple[int, int] | None = None) -> Featu
         raise MalformedMessage("reserved field must be zero")
     if d < 1:
         raise MalformedMessage("feature width must be >= 1")
-    entry = struct.Struct(f"<HH{d}f")
-    expected = HEADER_SIZE + count * entry.size
+    entry = _entry_dtype(d)
+    expected = HEADER_SIZE + count * entry.itemsize
     if len(data) != expected:
         raise MalformedMessage(f"length {len(data)} != expected {expected}")
-    entries = []
-    offset = HEADER_SIZE
-    for _ in range(count):
-        fields = entry.unpack_from(data, offset)
-        r, c = fields[0], fields[1]
-        if grid_shape is not None and not (r < grid_shape[0] and c < grid_shape[1]):
-            raise MalformedMessage(f"cell ({r}, {c}) outside grid {grid_shape}")
-        vec = np.array(fields[2:], dtype=np.float32)
-        if not np.all(np.isfinite(vec)):
-            raise MalformedMessage("non-finite feature value")
-        entries.append((r, c, vec))
-        offset += entry.size
-    return FeatureMessage(sender=sender, receiver=receiver, entries=tuple(entries), d=d)
+    entries = np.frombuffer(data, dtype=entry, count=count, offset=HEADER_SIZE)
+    rows, cols, values = entries["row"], entries["col"], entries["values"]
+    if grid_shape is not None:
+        outside = np.flatnonzero((rows >= grid_shape[0]) | (cols >= grid_shape[1]))
+        if outside.size:
+            i = outside[0]
+            raise MalformedMessage(f"cell ({rows[i]}, {cols[i]}) outside grid {grid_shape}")
+    if not np.isfinite(values).all():
+        raise MalformedMessage("non-finite feature value")
+    return FeatureMessage(sender, receiver, rows, cols, values)
 
 
 @dataclass
@@ -339,5 +362,5 @@ class BudgetLedger:
 
     def record(self, msg: FeatureMessage) -> None:
         self.total_bytes += msg.payload_bytes
-        self.total_entries += len(msg.entries)
+        self.total_entries += len(msg.rows)
         self.messages += 1

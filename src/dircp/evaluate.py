@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -10,7 +11,14 @@ import numpy as np
 from .comms import ScorerParams
 from .geometry import RotatedBox, SectorPartition, iou, sector_of
 from .learn import make_train_scene, train_scorer
-from .pipeline import METHODS, RunSettings, prepare_scene, run_pipeline
+from .pipeline import (
+    METHODS,
+    PipelineResult,
+    RunSettings,
+    SceneInputs,
+    prepare_scene,
+    run_pipeline,
+)
 from .scenario import ScenarioConfig, ScenarioWorld, generate
 
 # Matching and integration conventions, echoed into report metadata.
@@ -131,10 +139,17 @@ def run_method(world: ScenarioWorld, method: str, budget: float,
     if scene is None:
         scene = prepare_scene(world, settings)
     result = run_pipeline(scene, method, budget, settings, scorer_params)
+    return score_result(world, scene, result, budget, settings, loss_sigma)
+
+
+def score_result(world: ScenarioWorld, scene: SceneInputs, result: PipelineResult,
+                 budget: float, settings: RunSettings,
+                 loss_sigma: float | None = None) -> SeedResult:
+    """Metrics of one finished pipeline run against the world's ground truth."""
     truths = list(world.vehicles)
     ap_at_iou, ap_at_pd = evaluate_boxes(result.boxes, truths, scene.partition,
                                          settings.iou_thresholds)
-    return SeedResult(seed=int(world.config.seed), method=method, budget=budget,
+    return SeedResult(seed=int(world.config.seed), method=result.method, budget=budget,
                       loss_sigma=settings.loss_sigma if loss_sigma is None else loss_sigma,
                       mask=result.mask.mask, ap_at_iou=ap_at_iou,
                       ap_at_pd_iou=ap_at_pd,
@@ -201,6 +216,11 @@ def _seed_cell_results(args) -> list[SeedResult]:
     return out
 
 
+def worker_count(jobs: int, n_seeds: int, cpus: int | None) -> int:
+    """Seed workers a sweep starts: never more than seeds or CPUs, at least one."""
+    return max(1, min(jobs, n_seeds, cpus or 1))
+
+
 def sweep(scenario: ScenarioConfig, settings: RunSettings, budgets, sigmas,
           seeds, methods=METHODS, scorers: dict[float, ScorerParams] | None = None,
           jobs: int = 1, grid=None) -> SweepResult:
@@ -221,6 +241,7 @@ def sweep(scenario: ScenarioConfig, settings: RunSettings, budgets, sigmas,
             raise ValueError(f"unknown method {m!r}")
     tasks = [(scenario, settings, seed, budgets, sigmas, tuple(methods), scorers,
               grid) for seed in seeds]
+    jobs = worker_count(jobs, len(seeds), os.cpu_count())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed_lists = list(pool.map(_seed_cell_results, tasks))

@@ -1,17 +1,13 @@
-"""BEV feature maps in a shared global frame: toy encoder, resampling, pose embedding."""
+"""BEV feature maps in a shared global frame: toy encoder, sparse maps, pose embedding."""
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .grid import GridSpec
-
-BEVF_MAGIC = b"BEVF"
 
 
 @dataclass(frozen=True)
@@ -37,37 +33,32 @@ class BevFeatureMap:
 
 @dataclass(frozen=True)
 class SparseFeatureMap:
-    """Sparse (row, col, vector) entries plus the dense parent shape."""
+    """Received cells of an (H, W, D) map: values[i] sits at (rows[i], cols[i])."""
 
-    entries: tuple[tuple[int, int, np.ndarray], ...]
+    rows: np.ndarray = field(repr=False)    # (n,)
+    cols: np.ndarray = field(repr=False)    # (n,)
+    values: np.ndarray = field(repr=False)  # (n, D)
     shape: tuple[int, int, int]
 
     def __post_init__(self):
         h, w, d = self.shape
-        seen = set()
-        for r, c, vec in self.entries:
-            if not (0 <= r < h and 0 <= c < w):
-                raise ValueError(f"entry ({r}, {c}) outside {h}x{w}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            if len(vec) != d:
-                raise ValueError("entry vector width mismatch")
-            seen.add((r, c))
-
-
-def sparsify(fmap: BevFeatureMap, bits: np.ndarray) -> SparseFeatureMap:
-    """Keep exactly the cells where bits == 1, row-major order."""
-    if bits.shape != fmap.grid.shape:
-        raise ValueError("bits shape mismatch")
-    entries = tuple((int(r), int(c), fmap.values[r, c].copy())
-                    for r, c in zip(*np.nonzero(bits)))
-    return SparseFeatureMap(entries, (fmap.grid.h, fmap.grid.w, fmap.d))
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        if rows.shape != cols.shape or self.values.shape != (len(rows), d):
+            raise ValueError("entry vector width mismatch")
+        outside = np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0) | (cols >= w))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) outside {h}x{w}")
+        if np.unique(rows * w + cols).size != len(rows):
+            raise ValueError("duplicate entry")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
 
 def densify(sparse: SparseFeatureMap) -> np.ndarray:
     out = np.zeros(sparse.shape, dtype=np.float64)
-    for r, c, vec in sparse.entries:
-        out[r, c] = vec
+    out[sparse.rows, sparse.cols] = sparse.values
     return out
 
 
@@ -115,32 +106,6 @@ def encode(observation: np.ndarray, d_channels: int, grid: GridSpec,
     return BevFeatureMap(grid, values)
 
 
-def to_global_frame(fmap: BevFeatureMap, pose: tuple[float, float, float],
-                    target_grid: GridSpec | None = None) -> BevFeatureMap:
-    """Resample an agent-local map onto the shared global grid (nearest neighbor).
-
-    The pose maps local to global coordinates; target cells outside the source
-    footprint are zero.
-    """
-    if target_grid is None:
-        target_grid = GridSpec(fmap.grid.h, fmap.grid.w, fmap.grid.cell_size)
-    px, py, heading = pose
-    c, s = math.cos(heading), math.sin(heading)
-    centers = target_grid.centers
-    gx = centers[:, :, 0] - px
-    gy = centers[:, :, 1] - py
-    lx = gx * c + gy * s
-    ly = -gx * s + gy * c
-    src = fmap.grid
-    cols = np.floor((lx - src.origin_x) / src.cell_size).astype(np.int64)
-    rows = np.floor((ly - src.origin_y) / src.cell_size).astype(np.int64)
-    valid = (rows >= 0) & (rows < src.h) & (cols >= 0) & (cols < src.w)
-    out = np.zeros((target_grid.h, target_grid.w, fmap.d), dtype=np.float64)
-    rr, cc = np.nonzero(valid)
-    out[rr, cc] = fmap.values[rows[rr, cc], cols[rr, cc]]
-    return BevFeatureMap(target_grid, out)
-
-
 def pose_embedding(poses: list[tuple[float, float, float]], grid: GridSpec,
                    area_side: float) -> np.ndarray:
     """(H, W, N-1) smooth proximity field, one channel per collaborator."""
@@ -152,23 +117,3 @@ def pose_embedding(poses: list[tuple[float, float, float]], grid: GridSpec,
         dist = np.hypot(centers[:, :, 0] - x, centers[:, :, 1] - y)
         out[:, :, k] = np.exp(-dist / area_side)
     return out
-
-
-def save_bevf(fmap: BevFeatureMap, path: str | Path) -> None:
-    """Flat binary export: 16-byte header (magic, u32 H, W, D LE) + f32 data,
-    row-major, channel-minor."""
-    header = BEVF_MAGIC + struct.pack("<III", fmap.grid.h, fmap.grid.w, fmap.d)
-    Path(path).write_bytes(header + fmap.values.astype("<f4").tobytes(order="C"))
-
-
-def load_bevf(path: str | Path, cell_size: float = 1.0,
-              origin: tuple[float, float] = (0.0, 0.0)) -> BevFeatureMap:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != BEVF_MAGIC:
-        raise ValueError("not a BEVF file")
-    h, w, d = struct.unpack("<III", raw[4:16])
-    expected = 16 + h * w * d * 4
-    if len(raw) != expected:
-        raise ValueError(f"BEVF payload length {len(raw)} != expected {expected}")
-    values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, d).astype(np.float64)
-    return BevFeatureMap(GridSpec(h, w, cell_size, origin[0], origin[1]), values)

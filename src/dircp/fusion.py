@@ -148,8 +148,7 @@ def _stack_agents(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
         if sparse.shape != (h, w, d):
             raise ShapeMismatch(f"received map {j} shape {sparse.shape} != {(h, w, d)}")
         feats[j] = densify(sparse)
-        for r, c, _ in sparse.entries:
-            present[j, r, c] = True
+        present[j, sparse.rows, sparse.cols] = True
     return feats, present
 
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _EPS_AREA = 1e-12
 _EPS_ANGLE_DEG = 1e-9
@@ -224,57 +223,3 @@ def sector_of(box: RotatedBox, partition: SectorPartition) -> int:
     """Sector containing the box center."""
     return sector_of_point(box.cx, box.cy, partition)
 
-
-def segment_intersects_box(p: tuple[float, float], q: tuple[float, float],
-                           box: RotatedBox, eps: float = 1e-9) -> bool:
-    """True when the open segment p->q crosses the box interior.
-
-    Grazing contacts (measure-zero overlap with the boundary) do not count.
-    """
-    c, s = box.cos_a, box.sin_a
-    # Segment endpoints in the box frame.
-    px = (p[0] - box.cx) * c + (p[1] - box.cy) * s
-    py = -(p[0] - box.cx) * s + (p[1] - box.cy) * c
-    qx = (q[0] - box.cx) * c + (q[1] - box.cy) * s
-    qy = -(q[0] - box.cx) * s + (q[1] - box.cy) * c
-    dx, dy = qx - px, qy - py
-    t0, t1 = 0.0, 1.0
-    for start, delta, half in ((px, dx, 0.5 * box.length), (py, dy, 0.5 * box.width)):
-        if delta == 0.0:
-            if abs(start) >= half:
-                return False
-            continue
-        ta = (-half - start) / delta
-        tb = (half - start) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return False
-    # Require a positive-length crossing strictly inside the open segment.
-    return (t1 - t0) > eps and t1 > eps and t0 < 1.0 - eps
-
-
-def load_boxes(path: str | Path) -> list[RotatedBox]:
-    """Read a box list file: one box per line, 7 comma-separated decimals
-    (confidence,cx,cy,length,width,cos_a,sin_a); '#' starts a comment."""
-    boxes = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        boxes.append(RotatedBox(*values))
-    return boxes
-
-
-def save_boxes(path: str | Path, boxes: Iterable[RotatedBox]) -> None:
-    lines = [",".join(repr(v) for v in b.as_tuple()) for b in boxes]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

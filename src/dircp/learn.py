@@ -41,21 +41,6 @@ class DivergedTraining(RuntimeError):
     """Training loss became non-finite."""
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    per_direction: tuple[float, ...]
-    focal: tuple[float, ...]
-    offset: tuple[float, ...]
-    size: tuple[float, ...]
-    dw_total: float
-    sigma: float
-
-    def __post_init__(self):
-        for seq in (self.per_direction, self.focal, self.offset, self.size):
-            if any(not math.isfinite(v) or v < 0.0 for v in seq):
-                raise ValueError("loss components must be finite and >= 0")
-
-
 def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
                     footprints=None) -> np.ndarray:
     """(H, W, 7) per-cell targets.
@@ -194,16 +179,6 @@ def dw_loss_gradient(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray
     reg[:, :, 2:6] *= lambda_size
     grad[:, :, 1:7] = reg
     return grad
-
-
-def loss_breakdown(pred, truth, sector_map, mask, sigma, lambda_off=1.0,
-                   lambda_size=1.0) -> LossBreakdown:
-    parts = detection_loss(pred, truth, sector_map, len(_mask_bits(mask)),
-                           lambda_off, lambda_size)
-    total = dw_loss(parts["total"], mask, sigma)
-    return LossBreakdown(per_direction=tuple(parts["total"]),
-                         focal=tuple(parts["focal"]), offset=tuple(parts["offset"]),
-                         size=tuple(parts["size"]), dw_total=total, sigma=sigma)
 
 
 @dataclass(frozen=True)

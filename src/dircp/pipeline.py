@@ -179,8 +179,7 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
 
     de = np.ones_like(scene.de) if method == "uniform" else scene.de
     qcm = score_scene(scene, settings, de, scorer_params)
-    query = clip_queries(qcm, budget, q0_mode=settings.q0_mode,
-                         tie_break=settings.tie_break)
+    query = clip_queries(qcm, budget, tie_break=settings.tie_break)
     received: list[SparseFeatureMap | None] = []
     shape = (scene.grid.h, scene.grid.w, settings.d_channels)
     for k in range(scene.n_collaborators):

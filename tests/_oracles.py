@@ -1,15 +1,18 @@
 """Independent reference computations shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own code paths (polygon clipping,
-vectorized scoring, analytic gradients) so they can serve as oracles.
+vectorized scoring and occlusion, analytic gradients, the array wire codec)
+so they can serve as oracles.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
+from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
 from dircp.geometry import RotatedBox
 
 
@@ -53,3 +56,44 @@ def random_box(rng: np.random.Generator, span: float = 10.0,
 def rotate_point(x: float, y: float, angle: float) -> tuple[float, float]:
     c, s = math.cos(angle), math.sin(angle)
     return (x * c - y * s, x * s + y * c)
+
+
+def segment_intersects_box(p: tuple[float, float], q: tuple[float, float],
+                           box: RotatedBox, eps: float = 1e-9) -> bool:
+    """Scalar slab test: True when the open segment p->q crosses the box interior.
+
+    Grazing contacts (measure-zero overlap with the boundary) do not count.
+    """
+    c, s = box.cos_a, box.sin_a
+    # Segment endpoints in the box frame.
+    px = (p[0] - box.cx) * c + (p[1] - box.cy) * s
+    py = -(p[0] - box.cx) * s + (p[1] - box.cy) * c
+    qx = (q[0] - box.cx) * c + (q[1] - box.cy) * s
+    qy = -(q[0] - box.cx) * s + (q[1] - box.cy) * c
+    dx, dy = qx - px, qy - py
+    t0, t1 = 0.0, 1.0
+    for start, delta, half in ((px, dx, 0.5 * box.length), (py, dy, 0.5 * box.width)):
+        if delta == 0.0:
+            if abs(start) >= half:
+                return False
+            continue
+        ta = (-half - start) / delta
+        tb = (half - start) / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 >= t1:
+            return False
+    # Require a positive-length crossing strictly inside the open segment.
+    return (t1 - t0) > eps and t1 > eps and t0 < 1.0 - eps
+
+
+def pack_message(msg: FeatureMessage) -> bytes:
+    """DCPM payload packed one entry at a time with struct."""
+    out = bytearray(struct.pack("<4sHHHIHH", WIRE_MAGIC, WIRE_VERSION, msg.sender,
+                                msg.receiver, len(msg.rows), msg.d, 0))
+    entry = struct.Struct(f"<HH{msg.d}f")
+    for r, c, vec in zip(msg.rows.tolist(), msg.cols.tolist(), msg.values):
+        out += entry.pack(r, c, *vec.tolist())
+    return bytes(out)

@@ -222,8 +222,8 @@ def test_criterion_6_attention_contract():
         for dense in denses:
             cells = [(r, c) for r in range(h) for c in range(w)
                      if rng.uniform() < 0.35]
-            entries = tuple((r, c, dense[r, c].copy()) for r, c in cells)
-            received.append(SparseFeatureMap(entries, (h, w, d)))
+            rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+            received.append(SparseFeatureMap(rows, cols, dense[rows, cols], (h, w, d)))
         qcm_vals = rng.uniform(0, 1, (h, w, k))
         qcm_vals[:, :, 0] = 0.0  # collaborator 1 fully suppressed
         params = (AttentionParams.identity(d) if trial % 2 == 0
@@ -408,15 +408,17 @@ def test_criterion_11_wire_format_round_trip():
             (int(rng.integers(0, 64)), int(rng.integers(0, 64)),
              rng.normal(size=d).astype(np.float32))
             for _ in range(n_entries))
-        msg = FeatureMessage(sender=int(rng.integers(1, 6)),
-                             receiver=0, entries=entries, d=d)
+        msg = FeatureMessage(sender=int(rng.integers(1, 6)), receiver=0,
+                             rows=np.array([e[0] for e in entries], dtype=np.intp),
+                             cols=np.array([e[1] for e in entries], dtype=np.intp),
+                             values=np.array([e[2] for e in entries],
+                                             dtype=np.float32).reshape(-1, d))
         if deserialize(serialize(msg)) != msg:
             round_trip_failures += 1
 
     base = serialize(FeatureMessage(
-        sender=1, receiver=0,
-        entries=tuple((i, i, np.ones(4, dtype=np.float32)) for i in range(5)),
-        d=4))
+        sender=1, receiver=0, rows=np.arange(5), cols=np.arange(5),
+        values=np.ones((5, 4), dtype=np.float32)))
     rejected = 0
     crashed = 0
     for i in range(1000):

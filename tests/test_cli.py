@@ -101,6 +101,31 @@ class TestCmdRun:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
+    def test_one_pipeline_run_per_method_and_seed(self, tmp_path, monkeypatch):
+        import dircp.cli
+        from dircp.fusion import attention_trace_csv
+        from dircp.grid import GridSpec
+        from dircp.pipeline import prepare_scene
+        from dircp.scenario import generate
+
+        calls = []
+        original = dircp.cli.run_pipeline
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(dircp.cli, "run_pipeline", counted)
+        path, out = write_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        assert calls == ["directed", "uniform", "single"] * 2  # seeds 3 and 4
+        # The trace is the first run's, from the same pipeline result.
+        cfg = load_config(path)
+        world = generate(cfg.scenario, grid=GridSpec(cfg.grid_h, cfg.grid_w, cfg.cell_size))
+        pipe = original(prepare_scene(world, cfg.settings), "directed",
+                        cfg.settings.q_max, cfg.settings)
+        assert (out / "attention_trace.csv").read_text() == attention_trace_csv(pipe.fused)
+
     def test_output_flag_overrides(self, tmp_path):
         path, _ = write_config(tmp_path)
         alt = tmp_path / "alt"

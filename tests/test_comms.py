@@ -24,6 +24,8 @@ from dircp.comms import (
 from dircp.features import BevFeatureMap
 from dircp.grid import GridSpec
 
+from _oracles import pack_message
+
 
 def random_inputs(rng, h=6, w=6, k=3):
     q0 = rng.uniform(0, 1, (h, w, k))
@@ -202,7 +204,7 @@ class TestMessages:
         grid = GridSpec(4, 4, 1.0)
         q = QueryMap(np.zeros((4, 4, 2), dtype=np.uint8), 0.0)
         msg = build_message(q, make_features(grid), sender=1)
-        assert msg.entries == ()
+        assert len(msg.rows) == 0 and msg.values.shape == (0, 8)
         assert msg.payload_bytes == HEADER_SIZE
         assert serialize(msg) == serialize(msg)
         assert len(serialize(msg)) == HEADER_SIZE
@@ -211,7 +213,7 @@ class TestMessages:
         grid = GridSpec(4, 4, 1.0)
         q = QueryMap(np.ones((4, 4, 1), dtype=np.uint8), 1.0)
         msg = build_message(q, make_features(grid), sender=1)
-        assert len(msg.entries) == 16
+        assert len(msg.rows) == 16
 
     def test_entry_sizes(self):
         grid = GridSpec(4, 4, 1.0)
@@ -253,12 +255,51 @@ class TestMessages:
             deserialize(data + b"\x00")
 
     def test_out_of_range_indices_rejected(self):
-        msg = FeatureMessage(sender=1, receiver=0,
-                             entries=((7, 7, np.zeros(2, dtype=np.float32)),), d=2)
+        msg = FeatureMessage(sender=1, receiver=0, rows=np.array([7]), cols=np.array([7]),
+                             values=np.zeros((1, 2), dtype=np.float32))
         data = serialize(msg)
         with pytest.raises(MalformedMessage):
             deserialize(data, grid_shape=(4, 4))
         assert deserialize(data, grid_shape=(8, 8)) == msg
+
+    def test_serialize_matches_struct_oracle(self):
+        grid = GridSpec(8, 8, 1.0)
+        rng = np.random.default_rng(17)
+        for i in range(20):
+            bits = (rng.uniform(size=(8, 8, 2)) < 0.3).astype(np.uint8)
+            msg = build_message(QueryMap(bits, 1.0), make_features(grid, seed=i),
+                                sender=2, receiver=int(rng.integers(0, 5)))
+            assert serialize(msg) == pack_message(msg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.ones((3, 2), dtype=np.float32)
+        values[1, 1] = bad
+        msg = FeatureMessage(sender=1, receiver=0, rows=np.array([0, 1, 2]),
+                             cols=np.array([0, 1, 2]), values=values)
+        with pytest.raises(MalformedMessage, match="non-finite"):
+            deserialize(serialize(msg))
+
+    def test_duplicate_cell_parses(self):
+        # Duplicates are a map-level defect (SparseFeatureMap), not a wire defect.
+        msg = FeatureMessage(sender=1, receiver=0, rows=np.array([3, 3]),
+                             cols=np.array([1, 1]),
+                             values=np.arange(4, dtype=np.float32).reshape(2, 2))
+        assert deserialize(serialize(msg), grid_shape=(4, 4)) == msg
+
+    def test_entry_count_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            FeatureMessage(sender=1, receiver=0, rows=np.array([0, 1]), cols=np.array([0]),
+                           values=np.zeros((2, 2), dtype=np.float32))
+        with pytest.raises(ShapeMismatch):
+            FeatureMessage(sender=1, receiver=0, rows=np.array([0]), cols=np.array([0]),
+                           values=np.zeros((2, 2), dtype=np.float32))
+
+    def test_cell_outside_u16_not_serialized(self):
+        msg = FeatureMessage(sender=1, receiver=0, rows=np.array([0x10000]),
+                             cols=np.array([0]), values=np.zeros((1, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="u16"):
+            serialize(msg)
 
     def test_sparse_round_trip(self):
         grid = GridSpec(4, 4, 1.0)

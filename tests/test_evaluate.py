@@ -8,6 +8,7 @@ from dircp.evaluate import (
     run_method,
     spearman,
     sweep,
+    worker_count,
 )
 from dircp.geometry import RotatedBox, SectorPartition, sector_of
 from dircp.pipeline import RunSettings, prepare_scene
@@ -188,6 +189,26 @@ class TestSweep:
         assert sweep_json(a) == sweep_json(b)
         c = sweep(scenario, SETTINGS, jobs=2, **kwargs)
         assert sweep_json(a) == sweep_json(c)
+
+    def test_worker_count_is_clamped(self):
+        assert worker_count(1, 5, 8) == 1
+        assert worker_count(4, 5, 8) == 4
+        assert worker_count(10**6, 3, 8) == 3        # no more workers than seeds
+        assert worker_count(10**6, 100, 2) == 2      # no more workers than CPUs
+        assert worker_count(8, 100, None) == 1       # CPU count unknown
+        assert worker_count(0, 3, 8) == worker_count(-5, 3, 8) == 1
+
+    def test_huge_jobs_with_one_seed_runs_in_process(self, monkeypatch):
+        import dircp.evaluate
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-seed sweep must not start worker processes")
+
+        monkeypatch.setattr(dircp.evaluate, "ProcessPoolExecutor", no_pool)
+        scenario = eval_config(seed=5)
+        kwargs = dict(budgets=[0.1], sigmas=[1.0], seeds=[5], methods=("directed",))
+        assert sweep_json(sweep(scenario, SETTINGS, jobs=10**6, **kwargs)) == \
+            sweep_json(sweep(scenario, SETTINGS, **kwargs))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

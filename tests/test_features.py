@@ -8,12 +8,8 @@ from dircp.features import (
     SparseFeatureMap,
     densify,
     encode,
-    load_bevf,
     pose_embedding,
     positional_channels,
-    save_bevf,
-    sparsify,
-    to_global_frame,
 )
 from dircp.grid import GridSpec
 from dircp.scenario import generate, observe, ScenarioConfig
@@ -70,63 +66,30 @@ class TestEncode:
             encode(np.zeros((16, 16)), 1, GRID, (0, 0), 10.0)
 
 
-class TestGlobalFrame:
-    def make_map(self):
-        rng = np.random.default_rng(3)
-        return BevFeatureMap(GRID, rng.normal(size=(16, 16, 3)))
-
-    def test_identity_pose(self):
-        fmap = self.make_map()
-        out = to_global_frame(fmap, (0.0, 0.0, 0.0))
-        assert np.array_equal(out.values, fmap.values)
-
-    def test_grid_aligned_translation(self):
-        fmap = self.make_map()
-        out = to_global_frame(fmap, (3.0, -2.0, 0.0))
-        # Content shifts by (+3, -2) cells where in bounds, zero elsewhere.
-        for r in range(16):
-            for c in range(16):
-                sr, sc = r + 2, c - 3
-                if 0 <= sr < 16 and 0 <= sc < 16:
-                    assert np.array_equal(out.values[r, c], fmap.values[sr, sc])
-                else:
-                    assert np.all(out.values[r, c] == 0.0)
-
-    def test_rotation_of_single_cell(self):
-        values = np.zeros((16, 16, 2))
-        values[2, 5] = (7.0, -1.0)  # local center (5.5, 2.5)
-        fmap = BevFeatureMap(GRID, values)
-        out = to_global_frame(fmap, (0.0, 0.0, math.pi / 2))
-        # Local (5.5, 2.5) rotates to global (-2.5, 5.5): row 5, col -3 -> clipped.
-        # Use a pose that keeps it in-frame: rotate then translate by +16 in x.
-        out = to_global_frame(fmap, (16.0, 0.0, math.pi / 2))
-        # global = R(90) @ local + (16, 0) = (16 - 2.5, 5.5) -> cell (5, 13)
-        assert np.array_equal(out.values[5, 13], (7.0, -1.0))
-        assert np.count_nonzero(out.values[:, :, 0]) == 1
-
-    def test_nonzero_count_preserved_for_rigid_motion(self):
-        obs = np.zeros((16, 16))
-        obs[4:8, 2:5] = 1.0
-        fmap = encode(obs, 2, GRID, (0, 0), 10.0)
-        out = to_global_frame(fmap, (1.0, 2.0, 0.0))
-        assert np.count_nonzero(out.values[:, :, 0]) == np.count_nonzero(obs)
-
-
 class TestSparse:
     def test_round_trip_is_hadamard(self):
         rng = np.random.default_rng(9)
         fmap = BevFeatureMap(GRID, rng.normal(size=(16, 16, 4)))
         bits = (rng.uniform(size=(16, 16)) < 0.3).astype(np.uint8)
-        dense = densify(sparsify(fmap, bits))
+        rows, cols = np.nonzero(bits)
+        sparse = SparseFeatureMap(rows, cols, fmap.values[rows, cols], (16, 16, 4))
+        dense = densify(sparse)
         assert np.array_equal(dense, fmap.values * bits[:, :, None])
 
     def test_duplicate_entries_rejected(self):
-        with pytest.raises(ValueError):
-            SparseFeatureMap(((0, 0, np.zeros(2)), (0, 0, np.ones(2))), (4, 4, 2))
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseFeatureMap(np.array([1, 2, 1]), np.array([0, 3, 0]),
+                             np.zeros((3, 2)), (4, 4, 2))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SparseFeatureMap(((5, 0, np.zeros(2)),), (4, 4, 2))
+        for row, col in ((5, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="outside"):
+                SparseFeatureMap(np.array([0, row]), np.array([0, col]),
+                                 np.zeros((2, 2)), (4, 4, 2))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            SparseFeatureMap(np.array([0]), np.array([0]), np.zeros((1, 3)), (4, 4, 2))
 
 
 class TestPoseEmbedding:
@@ -151,30 +114,3 @@ class TestPoseEmbedding:
             expected = math.exp(-math.hypot(x - 5.0, y - 7.0) / 16.0)
             assert pe[r, c, 0] == pytest.approx(expected, abs=1e-12)
 
-
-class TestBevfFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        fmap = BevFeatureMap(GRID, rng.normal(size=(16, 16, 3)).astype(np.float32))
-        path = tmp_path / "f.bevf"
-        save_bevf(fmap, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"BEVF"
-        assert len(raw) == 16 + 16 * 16 * 3 * 4
-        loaded = load_bevf(path)
-        assert loaded.values.shape == (16, 16, 3)
-        assert np.array_equal(loaded.values, fmap.values.astype(np.float32))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bevf"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ValueError):
-            load_bevf(path)
-
-    def test_truncated(self, tmp_path):
-        fmap = BevFeatureMap(GridSpec(2, 2, 1.0), np.zeros((2, 2, 2)))
-        path = tmp_path / "t.bevf"
-        save_bevf(fmap, path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError):
-            load_bevf(path)

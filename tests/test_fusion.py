@@ -18,8 +18,8 @@ from dircp.grid import GridSpec
 
 def sparse_from_dense(dense, cells):
     h, w, d = dense.shape
-    entries = tuple((r, c, dense[r, c].copy()) for r, c in cells)
-    return SparseFeatureMap(entries, (h, w, d))
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return SparseFeatureMap(rows, cols, dense[rows, cols], (h, w, d))
 
 
 def qcm_of(values):

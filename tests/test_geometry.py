@@ -10,13 +10,11 @@ from dircp.geometry import (
     SectorPartition,
     box_corners,
     iou,
-    load_boxes,
-    save_boxes,
     sector_of,
-    segment_intersects_box,
 )
+from dircp.scenario import _segments_blocked
 
-from _oracles import mc_iou, random_box, rotate_point
+from _oracles import mc_iou, random_box, rotate_point, segment_intersects_box
 
 
 def corner_set(box, ndigits=9):
@@ -184,46 +182,47 @@ class TestSectorPartition:
             assert sector_of(box, base) == sector_of(rbox, rotated)
 
 
+def blocked(p, q, box):
+    """The production occlusion test on one segment."""
+    return bool(_segments_blocked(p, np.array([q], dtype=float), box)[0])
+
+
 class TestSegmentBox:
     def test_crossing(self):
         box = RotatedBox(1.0, 5.0, 0.0, 2.0, 2.0, 1.0, 0.0)
-        assert segment_intersects_box((0, 0), (10, 0), box)
+        assert blocked((0, 0), (10, 0), box)
 
     def test_miss(self):
         box = RotatedBox(1.0, 5.0, 5.0, 2.0, 2.0, 1.0, 0.0)
-        assert not segment_intersects_box((0, 0), (10, 0), box)
+        assert not blocked((0, 0), (10, 0), box)
 
     def test_grazing_edge_does_not_block(self):
         box = RotatedBox(1.0, 5.0, 1.0, 2.0, 2.0, 1.0, 0.0)
-        assert not segment_intersects_box((0, 0), (10, 0), box)
+        assert not blocked((0, 0), (10, 0), box)
 
     def test_endpoint_touch_does_not_block(self):
         box = RotatedBox(1.0, 5.0, 0.0, 2.0, 2.0, 1.0, 0.0)
         # Segment ends exactly on the near face.
-        assert not segment_intersects_box((0, 0), (4.0, 0.0), box)
+        assert not blocked((0, 0), (4.0, 0.0), box)
 
-
-class TestBoxFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(29)
-        boxes = [random_box(rng, confidence=float(rng.uniform(0, 1))) for _ in range(20)]
-        path = tmp_path / "boxes.txt"
-        save_boxes(path, boxes)
-        loaded = load_boxes(path)
-        assert loaded == boxes
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "boxes.txt"
-        path.write_text("# header\n\n1.0,0,0,2,1,1.0,0.0  # trailing\n", encoding="utf-8")
-        boxes = load_boxes(path)
-        assert len(boxes) == 1
-        assert boxes[0].length == 2.0
-
-    def test_field_count_error(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1.0,0,0,2,1,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected 7 fields"):
-            load_boxes(path)
+    def test_vectorized_matches_scalar_oracle(self):
+        rng = np.random.default_rng(31)
+        for i in range(200):
+            if i % 2:
+                box = random_box(rng, span=4.0)
+                pos = tuple(rng.uniform(-8.0, 8.0, 2))
+            else:
+                # Axis-aligned box, origin and half the targets on a half-cell
+                # lattice: parallel, grazing and face-touching segments occur.
+                cx, cy = rng.integers(-8, 9, 2) * 0.5
+                box = RotatedBox(1.0, cx, cy, float(rng.integers(1, 6)),
+                                 float(rng.integers(1, 6)), 1.0, 0.0)
+                pos = tuple(rng.integers(-16, 17, 2) * 0.5)
+            targets = np.concatenate([rng.uniform(-8.0, 8.0, (50, 2)),
+                                      rng.integers(-16, 17, (50, 2)) * 0.5])
+            got = _segments_blocked(pos, targets, box)
+            expected = [segment_intersects_box(pos, tuple(t), box) for t in targets]
+            assert got.tolist() == expected
 
 
 class TestEqualRegionIoU:

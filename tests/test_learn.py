@@ -8,13 +8,11 @@ from dircp.grid import GridSpec
 from dircp.geometry import RotatedBox
 from dircp.learn import (
     DegenerateWeights,
-    LossBreakdown,
     detection_loss,
     dw_loss,
     dw_loss_gradient,
     hard_path_loss,
     load_scorer,
-    loss_breakdown,
     make_train_scene,
     rasterize_truth,
     save_scorer,
@@ -181,22 +179,6 @@ class TestDwLossGradient:
                 fd = (loss_of(up) - loss_of(down)) / (2 * step)
                 denom = max(abs(fd), abs(grad[r, c, ch]), 1e-8)
                 assert abs(fd - grad[r, c, ch]) / denom < 1e-4
-
-
-class TestLossBreakdown:
-    def test_recompute_identity(self):
-        rng = np.random.default_rng(4)
-        pred = np.zeros((4, 4, 7))
-        pred[:, :, 0] = rng.uniform(0.1, 0.9, (4, 4))
-        truth = np.zeros((4, 4, 7))
-        truth[2, 2, 0] = 1.0
-        sector = (np.arange(16).reshape(4, 4) % 4).astype(np.int64)
-        lb = loss_breakdown(pred, truth, sector, (1, 1, 0, 0), 1.0)
-        assert isinstance(lb, LossBreakdown)
-        assert lb.dw_total == pytest.approx(
-            dw_loss(lb.per_direction, (1, 1, 0, 0), 1.0), rel=1e-12)
-        for f, o, s, t in zip(lb.focal, lb.offset, lb.size, lb.per_direction):
-            assert t == pytest.approx(f + o + s, rel=1e-12)
 
 
 def tiny_settings(**kw):
