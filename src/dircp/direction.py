@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SectorPartition, sector_of_point
+from .geometry import _EPS_ANGLE_DEG, SectorPartition
 from .grid import GridSpec
 
 DEFAULT_SIGMA2 = 5.0
@@ -85,23 +86,26 @@ def compute_mask(ds: DirectionScores, sigma1: float, sigma2: float) -> Direction
 
 
 def cell_sector_map(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
-    """(H, W) int map: the sector index of each cell center."""
-    out = np.empty((grid.h, grid.w), dtype=np.int64)
-    centers = grid.centers
-    for r in range(grid.h):
-        for c in range(grid.w):
-            out[r, c] = sector_of_point(centers[r, c, 0], centers[r, c, 1], partition)
-    return out
+    """(H, W) int map: ``sector_of_point`` of each cell center, all cells at once."""
+    # math.atan2 keeps the angles bit-equal to it; numpy's SIMD arctan2 is not.
+    dx, dy = (grid.centers - np.asarray(partition.frame_origin)).transpose(2, 0, 1)
+    atan = np.array(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())))
+    ang = np.degrees(atan.reshape(dx.shape) - partition.frame_heading) % 360.0
+    los = [lo for lo, _ in partition.boundaries]
+    sectors = np.searchsorted(los, ang, side="right") - 1
+    # Snap to the first boundary within _EPS_ANGLE_DEG (also across 360): written last.
+    for i in reversed(range(partition.n_dir)):
+        diff = ang - los[i]
+        snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
+        sectors[snap] = i
+    sectors[(dx == 0.0) & (dy == 0.0)] = 0
+    return sectors
 
 
-def direction_embedding(mask: DirectionMask, partition: SectorPartition,
-                        grid: GridSpec) -> np.ndarray:
+def direction_embedding(mask: DirectionMask, sector_map: np.ndarray) -> np.ndarray:
     """Spatial {0,1} broadcast of the mask: each cell carries its sector's bit.
 
-    Returned as (H, W); callers broadcast it across collaborator channels.
+    ``sector_map`` is the scene's ``cell_sector_map``. Returned as (H, W);
+    callers broadcast it across collaborator channels.
     """
-    if partition.n_dir != mask.n_dir:
-        raise ValueError("partition and mask disagree on n_dir")
-    sectors = cell_sector_map(partition, grid)
-    bits = np.asarray(mask.mask, dtype=np.float64)
-    return bits[sectors]
+    return np.asarray(mask.mask, dtype=np.float64)[sector_map]

@@ -118,7 +118,17 @@ def _line_intersection(p, q, a, b) -> tuple[float, float]:
     return (p[0] + t * dx1, p[1] + t * dy1)
 
 
+def _far_apart(a: RotatedBox, b: RotatedBox) -> bool:
+    """Centers farther apart than the two circumradii plus a 1e-6 m margin."""
+    # The margin keeps boxes that touch within the clipping tolerance on the exact path.
+    r = 0.5 * math.hypot(a.length, a.width) + 0.5 * math.hypot(b.length, b.width) + 1e-6
+    dx, dy = a.cx - b.cx, a.cy - b.cy
+    return dx * dx + dy * dy > r * r
+
+
 def intersection_area(a: RotatedBox, b: RotatedBox) -> float:
+    if _far_apart(a, b):
+        return 0.0
     poly = _clip_polygon(box_corners(a), box_corners(b))
     if len(poly) < 3:
         return 0.0
@@ -131,10 +141,7 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
     Symmetric by construction (arguments are canonically ordered before
     clipping); degenerate edge-contact overlaps count as 0.
     """
-    # Cheap reject: centers farther apart than the two circumradii.
-    r = 0.5 * math.hypot(a.length, a.width) + 0.5 * math.hypot(b.length, b.width)
-    dx, dy = a.cx - b.cx, a.cy - b.cy
-    if dx * dx + dy * dy > r * r:
+    if _far_apart(a, b):
         return 0.0
     if b.as_tuple() < a.as_tuple():
         a, b = b, a
@@ -193,26 +200,18 @@ class SectorPartition:
         return cls(n_dir, bounds, frame_origin, frame_heading)
 
 
-def relative_angle_deg(x: float, y: float, partition: SectorPartition) -> float:
-    """Angle of (x, y) about the partition origin, relative to its heading, in [0, 360)."""
-    dx = x - partition.frame_origin[0]
-    dy = y - partition.frame_origin[1]
-    ang = math.degrees(math.atan2(dy, dx) - partition.frame_heading) % 360.0
-    # Snap to boundaries so that exact-boundary points land deterministically
-    # in the upper half-open interval.
-    for lo, _ in partition.boundaries:
-        if abs(ang - lo) <= _EPS_ANGLE_DEG or abs(ang - lo - 360.0) <= _EPS_ANGLE_DEG:
-            return lo
-    return ang
-
-
 def sector_of_point(x: float, y: float, partition: SectorPartition) -> int:
     """Sector index of a point; the origin itself maps to sector 0."""
     dx = x - partition.frame_origin[0]
     dy = y - partition.frame_origin[1]
     if dx == 0.0 and dy == 0.0:
         return 0
-    ang = relative_angle_deg(x, y, partition)
+    ang = math.degrees(math.atan2(dy, dx) - partition.frame_heading) % 360.0
+    # Snap to boundaries so that exact-boundary points land deterministically
+    # in the upper half-open interval.
+    for i, (lo, _) in enumerate(partition.boundaries):
+        if abs(ang - lo) <= _EPS_ANGLE_DEG or abs(ang - lo - 360.0) <= _EPS_ANGLE_DEG:
+            return i
     for i, (lo, hi) in enumerate(partition.boundaries):
         if lo <= ang < hi:
             return i

@@ -135,7 +135,8 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
     scores = DirectionScores(tuple(float(c) for c in counts),
                              clamp_interest(settings.interest, settings.n_dir))
     mask = compute_mask(scores, settings.effective_sigma1(), settings.sigma2)
-    de = direction_embedding(mask, partition, grid)
+    sector_map = cell_sector_map(partition, grid)
+    de = direction_embedding(mask, sector_map)
     sensor_range = world.config.sensor_range
     feats = np.empty((world.n_agents, grid.h, grid.w, settings.d_channels))
     for agent in range(world.n_agents):
@@ -152,8 +153,7 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
     else:
         raise ValueError(f"unknown q0_mode {settings.q0_mode!r}")
     return SceneInputs(world=world, grid=grid, partition=partition, mask=mask,
-                       de=de, pe=pe, q0=q0, features=feats,
-                       sector_map=cell_sector_map(partition, grid))
+                       de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map)
 
 
 def score_scene(scene: SceneInputs, settings: RunSettings, de: np.ndarray,

@@ -118,8 +118,7 @@ def cell_dropout_uniforms(seed: int, agent_index: int, h: int, w: int) -> np.nda
 
 def _footprint_cells(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
     """Cells whose squares overlap the box with positive area."""
-    xs = [p[0] for p in box_corners(box)]
-    ys = [p[1] for p in box_corners(box)]
+    xs, ys = zip(*box_corners(box))
     r0, c0 = grid.cell_of(min(xs), min(ys))
     r1, c1 = grid.cell_of(max(xs), max(ys))
     cells = []
@@ -132,35 +131,34 @@ def _footprint_cells(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
     return cells
 
 
+def _box_arrays(boxes) -> np.ndarray:
+    """(6, B, 1): cx, cy, cos_a, sin_a, half-length and half-width of each box."""
+    return np.array([(b.cx, b.cy, b.cos_a, b.sin_a, 0.5 * b.length, 0.5 * b.width)
+                     for b in boxes], dtype=np.float64).T[:, :, None]
+
+
 def _segments_blocked(pos: tuple[float, float], targets: np.ndarray,
-                      box: RotatedBox, eps: float = 1e-9) -> np.ndarray:
-    """Vectorized open-segment-vs-box test for segments pos -> targets (K, 2)."""
-    c, s = box.cos_a, box.sin_a
-    px = (pos[0] - box.cx) * c + (pos[1] - box.cy) * s
-    py = -(pos[0] - box.cx) * s + (pos[1] - box.cy) * c
-    qx = (targets[:, 0] - box.cx) * c + (targets[:, 1] - box.cy) * s
-    qy = -(targets[:, 0] - box.cx) * s + (targets[:, 1] - box.cy) * c
-    t0 = np.zeros(len(targets))
-    t1 = np.ones(len(targets))
-    alive = np.ones(len(targets), dtype=bool)
-    for start, deltas, half in ((px, qx - px, 0.5 * box.length),
-                                (py, qy - py, 0.5 * box.width)):
-        parallel = deltas == 0.0
-        alive &= ~(parallel & (abs(start) >= half))
-        with np.errstate(divide="ignore", invalid="ignore"):
+                      boxes: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+    """Open-segment-vs-box test of segments pos -> targets (K, 2): (B, K) bools.
+
+    A slab the segment runs parallel to gives infinite entry and exit times:
+    they keep the interval when the segment lies inside the slab and empty it
+    when outside. On the slab's edge one time is NaN, which fails every final
+    comparison, so grazing contact does not block.
+    """
+    cx, cy, c, s, half_l, half_w = boxes
+    px = (pos[0] - cx) * c + (pos[1] - cy) * s
+    py = -(pos[0] - cx) * s + (pos[1] - cy) * c
+    qx = (targets[:, 0] - cx) * c + (targets[:, 1] - cy) * s
+    qy = -(targets[:, 0] - cx) * s + (targets[:, 1] - cy) * c
+    t0, t1 = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start, deltas, half in ((px, qx - px, half_l), (py, qy - py, half_w)):
             ta = (-half - start) / deltas
             tb = (half - start) / deltas
-        lo = np.minimum(ta, tb)
-        hi = np.maximum(ta, tb)
-        t0 = np.where(parallel, t0, np.maximum(t0, lo))
-        t1 = np.where(parallel, t1, np.minimum(t1, hi))
-        alive &= parallel | (t0 < t1)
-    return alive & ((t1 - t0) > eps) & (t1 > eps) & (t0 < 1.0 - eps)
-
-
-def _inflated(box: RotatedBox, margin: float) -> RotatedBox:
-    return RotatedBox(box.confidence, box.cx, box.cy, box.length + margin,
-                      box.width + margin, box.cos_a, box.sin_a)
+            t0 = np.maximum(t0, np.minimum(ta, tb))
+            t1 = np.minimum(t1, np.maximum(ta, tb))
+        return ((t1 - t0) > eps) & (t1 > eps) & (t0 < 1.0 - eps)
 
 
 def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWorld:
@@ -191,6 +189,8 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
     agent_points = [(ego[0], ego[1])] + [(p[0], p[1]) for p in collaborators]
     max_weight = max(config.density_profile)
     vehicles: list[RotatedBox] = []
+    # Agents' unit squares, then each placed vehicle inflated by the margin.
+    keep_out = [RotatedBox(1.0, ax, ay, 1.0, 1.0, 1.0, 0.0) for ax, ay in agent_points]
     for _ in range(config.n_vehicles):
         for attempt in range(_MAX_ATTEMPTS):
             x = rng.uniform(0.0, side)
@@ -208,25 +208,20 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
             if any(not (0.0 <= px <= side and 0.0 <= py <= side)
                    for px, py in box_corners(cand)):
                 continue
-            inflated = _inflated(cand, PLACEMENT_MARGIN)
-            if any(intersection_area(inflated, _inflated(v, PLACEMENT_MARGIN)) > 0.0
-                   for v in vehicles):
-                continue
-            if any(intersection_area(inflated,
-                                     RotatedBox(1.0, ax, ay, 1.0, 1.0, 1.0, 0.0)) > 0.0
-                   for ax, ay in agent_points):
+            inflated = RotatedBox(1.0, x, y, length + PLACEMENT_MARGIN,
+                                  width + PLACEMENT_MARGIN, cand.cos_a, cand.sin_a)
+            if any(intersection_area(inflated, box) > 0.0 for box in keep_out):
                 continue
             vehicles.append(cand)
+            keep_out.append(inflated)
             break
         else:
             raise PlacementExhausted(
                 f"could not place vehicle {len(vehicles)} after {_MAX_ATTEMPTS} attempts")
 
     vehicle_cells = tuple(tuple(_footprint_cells(v, grid)) for v in vehicles)
-    n_agents = 1 + config.n_collaborators
-    observations = np.zeros((n_agents, grid.h, grid.w), dtype=np.uint8)
-    for agent in range(n_agents):
-        pos = agent_points[agent]
+    observations = np.zeros((len(agent_points), grid.h, grid.w), dtype=np.uint8)
+    for agent, pos in enumerate(agent_points):
         observations[agent] = _observe_grid(config, grid, vehicles, vehicle_cells,
                                             pos, agent)
 
@@ -241,19 +236,20 @@ def _observe_grid(config: ScenarioConfig, grid: GridSpec, vehicles, vehicle_cell
                   pos: tuple[float, float], agent_index: int) -> np.ndarray:
     evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
     range_sq = config.sensor_range ** 2
+    boxes = _box_arrays(vehicles)
     for vi, cells in enumerate(vehicle_cells):
         if not cells:
             continue
-        centers = np.array([grid.center_of(r, c) for r, c in cells])
+        rows, cols = np.array(cells).T
+        centers = grid.centers[rows, cols]
         visible = ((centers[:, 0] - pos[0]) ** 2 + (centers[:, 1] - pos[1]) ** 2) <= range_sq
         if config.occlusion_enabled and visible.any():
-            for wi, blocker in enumerate(vehicles):
-                if wi == vi or not visible.any():
-                    continue
-                visible &= ~_segments_blocked(pos, centers, blocker)
-        for (r, c), ok in zip(cells, visible):
-            if ok:
-                evidence[r, c] = 1
+            # One call per target vehicle keeps the temporaries at
+            # n_vehicles x one footprint.
+            blocked = _segments_blocked(pos, centers, boxes)
+            blocked[vi] = False
+            visible &= ~blocked.any(axis=0)
+        evidence[rows[visible], cols[visible]] = 1
     if config.dropout_prob > 0.0:
         keep = cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w) \
             >= config.dropout_prob

@@ -13,7 +13,16 @@ import struct
 import numpy as np
 
 from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
-from dircp.geometry import RotatedBox
+from dircp.geometry import (
+    RotatedBox,
+    SectorPartition,
+    _clip_polygon,
+    _polygon_area,
+    box_corners,
+    sector_of_point,
+)
+from dircp.grid import GridSpec
+from dircp.scenario import ScenarioConfig, cell_dropout_uniforms
 
 
 def points_in_box(points: np.ndarray, box: RotatedBox) -> np.ndarray:
@@ -97,3 +106,41 @@ def pack_message(msg: FeatureMessage) -> bytes:
     for r, c, vec in zip(msg.rows.tolist(), msg.cols.tolist(), msg.values):
         out += entry.pack(r, c, *vec.tolist())
     return bytes(out)
+
+
+def clip_area(a: RotatedBox, b: RotatedBox) -> float:
+    """Intersection area from the polygon clip alone, with no far-apart reject."""
+    poly = _clip_polygon(box_corners(a), box_corners(b))
+    return abs(_polygon_area(poly)) if len(poly) >= 3 else 0.0
+
+
+def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec, vehicles,
+                             vehicle_cells, pos: tuple[float, float],
+                             agent_index: int) -> np.ndarray:
+    """Evidence grid of one agent: one scalar segment test per (cell, blocker)."""
+    evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
+    range_sq = config.sensor_range ** 2
+    for vi, cells in enumerate(vehicle_cells):
+        for r, c in cells:
+            x, y = grid.center_of(r, c)
+            if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 > range_sq:
+                continue
+            if config.occlusion_enabled and any(
+                    segment_intersects_box(pos, (x, y), blocker)
+                    for wi, blocker in enumerate(vehicles) if wi != vi):
+                continue
+            evidence[r, c] = 1
+    if config.dropout_prob > 0.0:
+        keep = cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w) \
+            >= config.dropout_prob
+        evidence[~keep] = 0
+    return evidence
+
+
+def cell_sector_map_loop(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
+    """(H, W) sector index of each cell center, one sector_of_point call per cell."""
+    out = np.empty((grid.h, grid.w), dtype=np.int64)
+    for r in range(grid.h):
+        for c in range(grid.w):
+            out[r, c] = sector_of_point(*grid.center_of(r, c), partition)
+    return out

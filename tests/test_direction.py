@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dircp import direction, pipeline
 from dircp.direction import (
     DirectionMask,
     DirectionScores,
@@ -11,6 +14,10 @@ from dircp.direction import (
 )
 from dircp.geometry import SectorPartition, sector_of_point
 from dircp.grid import GridSpec
+from dircp.pipeline import RunSettings, prepare_scene
+from dircp.scenario import ScenarioConfig, generate
+
+from _oracles import cell_sector_map_loop
 
 
 def brute_force_mask(scores, interest, sigma1, sigma2):
@@ -118,14 +125,15 @@ class TestDirectionEmbedding:
     def setup_method(self):
         self.grid = GridSpec(16, 16, 1.0)
         self.partition = SectorPartition.uniform(4, frame_origin=(8.0, 8.0))
+        self.sectors = cell_sector_map(self.partition, self.grid)
 
     def test_all_ones(self):
-        de = direction_embedding(make_mask([1, 1, 1, 1]), self.partition, self.grid)
+        de = direction_embedding(make_mask([1, 1, 1, 1]), self.sectors)
         assert de.shape == (16, 16)
         assert np.all(de == 1.0)
 
     def test_single_sector_matches_brute_force(self):
-        de = direction_embedding(make_mask([1, 0, 0, 0]), self.partition, self.grid)
+        de = direction_embedding(make_mask([1, 0, 0, 0]), self.sectors)
         count = 0
         for r in range(16):
             for c in range(16):
@@ -139,12 +147,77 @@ class TestDirectionEmbedding:
 
     def test_single_dir_all_off(self):
         part = SectorPartition.uniform(1, frame_origin=(8.0, 8.0))
-        de = direction_embedding(make_mask([0]), part, self.grid)
+        de = direction_embedding(make_mask([0]), cell_sector_map(part, self.grid))
         assert np.all(de == 0.0)
 
     def test_sum_equals_on_sector_cell_count(self):
-        sectors = cell_sector_map(self.partition, self.grid)
         for bits in ([1, 0, 1, 0], [0, 1, 1, 1]):
-            de = direction_embedding(make_mask(bits), self.partition, self.grid)
-            expected = sum(int(np.sum(sectors == i)) for i, b in enumerate(bits) if b)
+            de = direction_embedding(make_mask(bits), self.sectors)
+            expected = sum(int(np.sum(self.sectors == i)) for i, b in enumerate(bits) if b)
             assert de.sum() == expected
+
+
+def non_uniform_boundaries(n_dir, rng):
+    """Contiguous sectors with random cuts; every other cut on a multiple of 45."""
+    cuts = set()
+    while len(cuts) < n_dir - 1:
+        cut = float(rng.integers(1, 8) * 45) if len(cuts) % 2 else float(rng.uniform(1, 359))
+        cuts.add(cut)
+    edges = [0.0] + sorted(cuts) + [360.0]
+    return tuple(zip(edges[:-1], edges[1:]))
+
+
+class TestCellSectorMap:
+    grid = GridSpec(16, 16, 1.0)
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(59)
+        checked = 0
+        for n_dir in range(1, 13):
+            for heading in (0.0, math.pi / 4, 1e-18, float(rng.uniform(0, 2 * math.pi))):
+                # Cell corner, cell center (origin cell -> sector 0), off-lattice.
+                for origin in ((8.0, 8.0), (8.5, 8.5), tuple(rng.uniform(0, 16, 2))):
+                    bounds = [SectorPartition.uniform(n_dir, origin, heading).boundaries]
+                    if 2 <= n_dir <= 8:
+                        bounds.append(non_uniform_boundaries(n_dir, rng))
+                    if n_dir == 3:
+                        # A sliver sector: 90 degrees is within the snap of two
+                        # boundaries, and the first one wins.
+                        sliver = 90.0 + 1e-10
+                        bounds.append(((0.0, 90.0), (90.0, sliver), (sliver, 360.0)))
+                    for b in bounds:
+                        part = SectorPartition(n_dir, b, origin, heading)
+                        got = cell_sector_map(part, self.grid)
+                        assert got.dtype == np.int64
+                        assert np.array_equal(got, cell_sector_map_loop(part, self.grid))
+                        checked += 1
+        assert checked > 200
+
+    def test_origin_cell_and_wrap_to_360(self):
+        # Heading 1e-18 puts the row through the origin at -5.7e-17 degrees,
+        # which % 360 rounds to 360.0; the snap sends it to sector 0, not n-1.
+        assert math.degrees(math.atan2(0.0, 1.0) - 1e-18) % 360.0 == 360.0
+        part = SectorPartition.uniform(4, frame_origin=(8.5, 8.5), frame_heading=1e-18)
+        got = cell_sector_map(part, self.grid)
+        assert got[8, 8] == 0
+        assert np.all(got[8, 9:] == 0)
+        assert np.array_equal(got, cell_sector_map_loop(part, self.grid))
+
+
+class TestPrepareSceneSectorMap:
+    def test_one_map_per_scene_and_embedding_reads_it(self, monkeypatch):
+        calls = []
+
+        def counting(partition, grid):
+            calls.append(1)
+            return cell_sector_map(partition, grid)
+
+        monkeypatch.setattr(direction, "cell_sector_map", counting)
+        monkeypatch.setattr(pipeline, "cell_sector_map", counting)
+        world = generate(ScenarioConfig(seed=5))
+        scene = prepare_scene(world, RunSettings())
+        assert len(calls) == 1
+        bits = np.asarray(scene.mask.mask, dtype=np.float64)
+        assert np.array_equal(scene.de, bits[scene.sector_map])
+        assert np.array_equal(scene.sector_map,
+                              cell_sector_map_loop(scene.partition, scene.grid))

@@ -9,12 +9,13 @@ from dircp.geometry import (
     RotatedBox,
     SectorPartition,
     box_corners,
+    intersection_area,
     iou,
     sector_of,
 )
-from dircp.scenario import _segments_blocked
+from dircp.scenario import _box_arrays, _segments_blocked
 
-from _oracles import mc_iou, random_box, rotate_point, segment_intersects_box
+from _oracles import clip_area, mc_iou, random_box, rotate_point, segment_intersects_box
 
 
 def corner_set(box, ndigits=9):
@@ -183,8 +184,15 @@ class TestSectorPartition:
 
 
 def blocked(p, q, box):
-    """The production occlusion test on one segment."""
-    return bool(_segments_blocked(p, np.array([q], dtype=float), box)[0])
+    """The production occlusion test on one segment and one box."""
+    return bool(_segments_blocked(p, np.array([q], dtype=float), _box_arrays([box]))[0, 0])
+
+
+def lattice_box(rng):
+    """Axis-aligned box on a half-cell lattice."""
+    cx, cy = rng.integers(-8, 9, 2) * 0.5
+    return RotatedBox(1.0, cx, cy, float(rng.integers(1, 6)), float(rng.integers(1, 6)),
+                      1.0, 0.0)
 
 
 class TestSegmentBox:
@@ -208,21 +216,50 @@ class TestSegmentBox:
     def test_vectorized_matches_scalar_oracle(self):
         rng = np.random.default_rng(31)
         for i in range(200):
+            # Lattice boxes with a lattice origin and half the targets on the
+            # same half-cell lattice: parallel, grazing and face-touching
+            # segments occur. Random boxes ride in the same batch.
+            boxes = [lattice_box(rng), random_box(rng, span=4.0),
+                     lattice_box(rng), random_box(rng, span=4.0)][:1 + i % 4]
             if i % 2:
-                box = random_box(rng, span=4.0)
                 pos = tuple(rng.uniform(-8.0, 8.0, 2))
             else:
-                # Axis-aligned box, origin and half the targets on a half-cell
-                # lattice: parallel, grazing and face-touching segments occur.
-                cx, cy = rng.integers(-8, 9, 2) * 0.5
-                box = RotatedBox(1.0, cx, cy, float(rng.integers(1, 6)),
-                                 float(rng.integers(1, 6)), 1.0, 0.0)
                 pos = tuple(rng.integers(-16, 17, 2) * 0.5)
             targets = np.concatenate([rng.uniform(-8.0, 8.0, (50, 2)),
-                                      rng.integers(-16, 17, (50, 2)) * 0.5])
-            got = _segments_blocked(pos, targets, box)
-            expected = [segment_intersects_box(pos, tuple(t), box) for t in targets]
+                                      rng.integers(-16, 17, (50, 2)) * 0.5, [pos]])
+            got = _segments_blocked(pos, targets, _box_arrays(boxes))
+            expected = [[segment_intersects_box(pos, tuple(t), box) for t in targets]
+                        for box in boxes]
             assert got.tolist() == expected
+
+
+class TestIntersectionArea:
+    def test_far_apart_reject_matches_unrejected_clip(self):
+        # Pairs whose facing corners sit on the line of centers touch at a
+        # center distance equal to the sum of the circumradii; offsets around
+        # that distance straddle the reject and its 1e-6 m margin.
+        rng = np.random.default_rng(47)
+        offsets = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-7, 1e-6, 1.1e-6, 1e-5, 1e-3)
+        rejected = 0
+        for i in range(3000):
+            la, wa, lb, wb = rng.uniform(0.5, 8.5, 4)
+            phi = rng.uniform(0.0, 2 * math.pi)
+            if i % 2:
+                head_a = phi - math.atan2(wa, la)
+                head_b = phi + math.pi - math.atan2(wb, lb)
+            else:
+                head_a, head_b = rng.uniform(0.0, 2 * math.pi, 2)
+            r = 0.5 * math.hypot(la, wa) + 0.5 * math.hypot(lb, wb)
+            d = r + offsets[(i // 2) % len(offsets)]
+            ax, ay = rng.uniform(0.0, 64.0, 2)
+            a = RotatedBox.from_angle(1.0, ax, ay, la, wa, head_a)
+            b = RotatedBox.from_angle(1.0, ax + d * math.cos(phi), ay + d * math.sin(phi),
+                                      lb, wb, head_b)
+            for p, q in ((a, b), (b, a)):
+                got = intersection_area(p, q)
+                assert got == clip_area(p, q)
+                rejected += got == 0.0
+        assert rejected > 0
 
 
 class TestEqualRegionIoU:

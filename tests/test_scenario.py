@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dircp import scenario
 from dircp.geometry import RotatedBox, iou, sector_of
 from dircp.grid import GridSpec
 from dircp.scenario import (
@@ -18,6 +19,8 @@ from dircp.scenario import (
     rsu_observe,
     scene_to_dict,
 )
+
+from _oracles import clip_area, observe_grid_per_blocker
 
 
 def small_config(**kw):
@@ -137,6 +140,31 @@ class TestObserve:
         assert np.array_equal(u1, u2)
         assert not np.array_equal(u1, u3)
         assert u1.min() >= 0.0 and u1.max() < 1.0
+
+
+DENSE = dict(n_vehicles=24, n_collaborators=8, density_profile=(0.4, 0.4, 0.1, 0.1))
+
+
+class TestMatchesReference:
+    """generate against itself with the per-blocker occlusion loop and the
+    unrejected polygon clip patched in.
+    """
+
+    @pytest.mark.parametrize("seed,kw", [
+        (1, DENSE), (2, DENSE), (3, {}), (4, {}),
+        (5, dict(DENSE, occlusion_enabled=False)),
+        (6, dict(DENSE, dropout_prob=0.3)), (7, dict(dropout_prob=0.5)),
+    ])
+    def test_world_matches_reference(self, monkeypatch, seed, kw):
+        cfg = ScenarioConfig(seed=seed, **kw)
+        world = generate(cfg)
+        monkeypatch.setattr(scenario, "_observe_grid", observe_grid_per_blocker)
+        monkeypatch.setattr(scenario, "intersection_area", clip_area)
+        ref = generate(cfg)
+        assert world.vehicles == ref.vehicles
+        assert world.vehicle_cells == ref.vehicle_cells
+        assert world.per_agent_observations.dtype == ref.per_agent_observations.dtype
+        assert np.array_equal(world.per_agent_observations, ref.per_agent_observations)
 
 
 class TestRsuObserve:
