@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,14 +132,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def cmd_sweep(args) -> int:
+    _require(args.jobs >= 1, "--jobs: must be >= 1")
+    _require(args.train_steps >= 1, "--train-steps: must be >= 1")
+    _require(math.isfinite(args.train_lr), "--train-lr: must be finite")
+    _require(args.seeds is None or args.seeds >= 1, "--seeds: need at least one seed")
     cfg, out_dir, grid = _load(args)
     budgets = ([cfg.settings.q_max] if args.budgets is None
                else _parse_float_list(args.budgets, "--budgets"))
     sigmas = ([cfg.settings.loss_sigma] if args.sigmas is None
               else _parse_float_list(args.sigmas, "--sigmas"))
-    if args.seeds is not None and args.seeds < 1:
-        raise ConfigError("--seeds: need at least one seed")
     seeds = (list(cfg.seeds) if args.seeds is None
              else [cfg.scenario.seed + i for i in range(args.seeds)])
     scorers = None
@@ -167,10 +175,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.steps < 1:
-        raise ConfigError("--steps: must be >= 1")
-    if args.batch < 1:
-        raise ConfigError("--batch: must be >= 1")
+    _require(args.steps >= 1, "--steps: must be >= 1")
+    _require(args.batch >= 1, "--batch: must be >= 1")
+    _require(math.isfinite(args.lr), "--lr: must be finite")
     cfg, out_dir, grid = _load(args)
     scenes = []
     base = cfg.scenario.seed + 100_000

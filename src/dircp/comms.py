@@ -249,6 +249,14 @@ def per_collaborator_budget(q_max: float, h: int, w: int) -> int:
     return int(math.floor(q_max * h * w))
 
 
+def top_cells(scores: np.ndarray, limit: int) -> np.ndarray:
+    """Indices of the `limit` highest scores along the last axis, best first.
+
+    Ties go to the lower index: on a C-order ravel, to the earlier cell.
+    """
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :limit]
+
+
 def clip_queries(c: QueryConfidenceMap, q_max: float,
                  tie_break: str = "per_collaborator") -> QueryMap:
     """Top-k budget clipping of a confidence map.
@@ -263,26 +271,18 @@ def clip_queries(c: QueryConfidenceMap, q_max: float,
     if tie_break not in ("per_collaborator", "global"):
         raise ValueError(f"unknown tie_break mode {tie_break!r}")
     h, w, k = c.values.shape
-    bits = np.zeros((h, w, k), dtype=np.uint8)
     if tie_break == "per_collaborator":
+        scores = c.values.reshape(h * w, k).T  # one row per collaborator
         limit = per_collaborator_budget(q_max, h, w)
-        for ch in range(k):
-            flat = c.values[:, :, ch].ravel()
-            order = np.lexsort((np.arange(flat.size), -flat))
-            chosen = order[:limit]
-            chosen = chosen[flat[chosen] > 0.0]
-            rows, cols = np.unravel_index(chosen, (h, w))
-            bits[rows, cols, ch] = 1
     else:
+        scores = c.values.reshape(1, -1)  # C order is (row, col, collaborator)
         limit = int(math.floor(q_max * h * w * k))
-        # C-order ravel of (H, W, K) is exactly (row, col, collaborator) order.
-        flat = c.values.reshape(-1)
-        order = np.lexsort((np.arange(flat.size), -flat))
-        chosen = order[:limit]
-        chosen = chosen[flat[chosen] > 0.0]
-        rows, cols, chans = np.unravel_index(chosen, (h, w, k))
-        bits[rows, cols, chans] = 1
-    return QueryMap(bits, q_max)
+    chosen = top_cells(scores, limit)
+    row, rank = np.nonzero(np.take_along_axis(scores, chosen, axis=1) > 0.0)
+    # Cell i of score row j is entry i * len(scores) + j of the (H, W, K) bits.
+    bits = np.zeros(h * w * k, dtype=np.uint8)
+    bits[chosen[row, rank] * len(scores) + row] = 1
+    return QueryMap(bits.reshape(h, w, k), q_max)
 
 
 def build_message(query: QueryMap, sender_features: BevFeatureMap, sender: int,

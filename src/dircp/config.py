@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,6 +199,9 @@ def load_config(path: str | Path | None = None,
             except (ValueError, TypeError) as exc:
                 errors.append(f"{section}.{key}: cannot parse {text!r} ({exc})")
                 values[section][key] = None
+            else:
+                if parse is float and math.isnan(values[section][key]):
+                    errors.append(f"{section}.{key}: must not be nan")
     if errors:
         raise ConfigError("\n".join(errors))
 
@@ -206,14 +210,29 @@ def load_config(path: str | Path | None = None,
                                       values["fusion"], values["loss"],
                                       values["eval"], values["output"])
 
-    cell = gr["cell_size"]
-    default_cells = int(round(sc["area_side"] / cell))
-    grid_h = gr["h"] if gr["h"] is not None else default_cells
-    grid_w = gr["w"] if gr["w"] is not None else default_cells
-
     def check(cond: bool, message: str):
         if not cond:
             errors.append(message)
+
+    # Values the grid size and the checks below divide or count by.
+    for section, key in (("scenario", "area_side"), ("scenario", "sensor_range"),
+                         ("grid", "cell_size")):
+        value = values[section][key]
+        check(math.isfinite(value) and value > 0.0,
+              f"{section}.{key} must be positive and finite")
+    check(di["n_dir"] >= 1, "direction.n_dir must be >= 1")
+    check(fu["n_heads"] >= 1, "fusion.n_heads must be >= 1")
+    check(fu["d_ff"] is None or fu["d_ff"] >= 0, "fusion.d_ff must be >= 0")
+    if errors:
+        raise ConfigError("\n".join(errors))
+
+    cell = gr["cell_size"]
+    cells = sc["area_side"] / cell
+    if not math.isfinite(cells):
+        raise ConfigError("grid.cell_size is too small for scenario.area_side")
+    default_cells = int(round(cells))
+    grid_h = gr["h"] if gr["h"] is not None else default_cells
+    grid_w = gr["w"] if gr["w"] is not None else default_cells
 
     check(grid_h * cell == sc["area_side"] and grid_w * cell == sc["area_side"],
           f"grid.h/w x cell_size must cover area_side exactly "
@@ -240,6 +259,10 @@ def load_config(path: str | Path | None = None,
     check(bool(methods) and all(m in METHODS for m in methods),
           f"eval.methods must be drawn from {METHODS}")
     check(gr["d"] % fu["n_heads"] == 0, "grid.d must be divisible by fusion.n_heads")
+    check(di["sigma1"] is None or 0.0 <= di["sigma1"] <= 1.0,
+          "direction.sigma1 must lie in [0, 1]")
+    check(di["sigma2"] >= 0.0, "direction.sigma2 must be >= 0")
+    check(math.isfinite(fu["qk_scale"]), "fusion.qk_scale must be finite")
     check(lo["sigma"] >= 0.0, "loss.sigma must be >= 0")
     check(lo["tau"] > 0.0, "loss.tau must be positive")
 

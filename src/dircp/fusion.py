@@ -14,6 +14,8 @@ from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import canonical_sum, sigmoid
 
+KEY_EVIDENCE_GAIN = 2.0
+
 
 @dataclass(frozen=True)
 class AttentionParams:
@@ -56,16 +58,15 @@ class AttentionParams:
 
     @classmethod
     def identity(cls, d: int, n_heads: int = 2, d_ff: int | None = None,
-                 qk_scale: float = 1.0,
-                 key_evidence_gain: float = 2.0) -> "AttentionParams":
+                 qk_scale: float = 1.0) -> "AttentionParams":
         """Identity-preserving initialization.
 
         Value and output projections reproduce the input exactly and the FFN
         second layer is zero, so fusing with only the ego present returns the
         ego features bit-for-bit. Q/K are identity slices scaled by qk_scale;
         the first head's key projection additionally mixes the evidence channel
-        into the decay row, so keys carrying actual evidence outrank empty
-        (junk) transmissions at every cell regardless of the ego's own view.
+        into the decay row (KEY_EVIDENCE_GAIN), so keys carrying evidence
+        outrank empty (junk) transmissions at every cell whatever the ego sees.
         """
         if d % n_heads != 0:
             raise ValueError("D must be divisible by n_heads")
@@ -75,11 +76,11 @@ class AttentionParams:
         eye = np.eye(d)
         slices = np.stack([eye[h * dh:(h + 1) * dh] for h in range(n_heads)])
         wk = slices * qk_scale
-        if dh >= 2 and key_evidence_gain != 0.0:
+        if dh >= 2:
             # Row reading channel 1 (distance decay, always positive on the
             # query side) also reads channel 0 (evidence) on the key side.
             wk = wk.copy()
-            wk[0, 1, 0] += key_evidence_gain * qk_scale
+            wk[0, 1, 0] += KEY_EVIDENCE_GAIN * qk_scale
         rng = np.random.default_rng(12345)  # fixed: identity init is a constant
         return cls(n_heads=n_heads, wq=slices * qk_scale, wk=wk,
                    wv=slices.copy(), wo=eye.copy(),
@@ -152,13 +153,55 @@ def _stack_agents(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
     return feats, present
 
 
+def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
+                      confidence: np.ndarray, params: AttentionParams, total):
+    """Weights half of the attention kernel; agents on axis 0, the ego first.
+
+    Per head, a scaled dot-product softmax of the ego's queries (H, W, D) over
+    the keys (N, H, W, D) of the agents present (N, H, W) at each cell; the
+    head average is scaled by confidence, 1 for the ego and (H, W, N-1) for
+    the others. total(x, axis) sums over agents. Returns (weights, pre, conf),
+    each (N, H, W), and per head the softmax and queries the backward reads.
+    """
+    scale = 1.0 / math.sqrt(params.head_dim)
+    pre = np.zeros(present.shape, dtype=np.float64)
+    probs, queries = [], []
+    for head in range(params.n_heads):
+        q = ego @ params.wq[head].T
+        e = np.einsum("hwd,nhwd->nhw", q, feats @ params.wk[head].T) * scale
+        e = np.where(present, e, -np.inf)
+        ex = np.where(present, np.exp(e - e.max(axis=0)), 0.0)
+        a = ex / total(ex, axis=0)
+        pre += a
+        probs.append(a)
+        queries.append(q)
+    pre /= params.n_heads
+    conf = np.concatenate([np.ones((1, *confidence.shape[:2])),
+                           np.moveaxis(confidence, 2, 0)])
+    return pre * conf, pre, conf, probs, queries
+
+
+def attention_pool(feats: np.ndarray, weights: np.ndarray, params: AttentionParams,
+                   total):
+    """Fusion half: value projection, pooling by weights (N, H, W), residual FFN.
+
+    Returns the fused (H, W, D) map, the values and the FFN pre-activation.
+    """
+    values = feats @ params.value_matrix().T
+    pooled = total(values * weights[..., None], axis=0)
+    hidden = pooled @ params.ffn_w1.T + params.ffn_b1
+    out = pooled + np.maximum(hidden, 0.0) @ params.ffn_w2.T + params.ffn_b2
+    return out, values, hidden
+
+
 def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
                 qcm: QueryConfidenceMap, params: AttentionParams) -> DsaWeights:
     """Scaled dot-product attention over agents at every cell.
 
     The ego is agent 0 with an implicit confidence of 1; collaborator weights
     are the head-averaged softmax scores (over agents present at the cell)
-    multiplied by the collaborator's query confidence.
+    multiplied by the collaborator's query confidence. Sums over agents run in
+    canonical order, so no weight depends on the order of the agents.
     """
     h, w = ego.grid.shape
     if qcm.values.shape[:2] != (h, w) or qcm.n_collaborators != len(received):
@@ -166,22 +209,8 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     if params.d != ego.d:
         raise ShapeMismatch("attention params width disagrees with features")
     feats, present = _stack_agents(ego, received)
-    n = feats.shape[0]
-    scale = 1.0 / math.sqrt(params.head_dim)
-    head_sum = np.zeros((n, h, w), dtype=np.float64)
-    for head in range(params.n_heads):
-        q = ego.values @ params.wq[head].T            # (H, W, dh)
-        k = feats @ params.wk[head].T                 # (N, H, W, dh)
-        e = np.einsum("hwd,nhwd->nhw", q, k) * scale
-        e = np.where(present, e, -np.inf)
-        m = e.max(axis=0)
-        ex = np.where(present, np.exp(e - m), 0.0)
-        denom = canonical_sum(ex, axis=0)
-        head_sum += ex / denom
-    pre = head_sum / params.n_heads                   # (N, H, W)
-    conf = np.ones((n, h, w), dtype=np.float64)
-    conf[1:] = np.moveaxis(qcm.values, 2, 0)
-    values = pre * conf
+    values, pre, *_ = attention_weights(ego.values, feats, present, qcm.values,
+                                        params, canonical_sum)
     return DsaWeights(values=np.moveaxis(values, 0, 2),
                       pre_qcm=np.moveaxis(pre, 0, 2),
                       present=np.moveaxis(present, 0, 2))
@@ -194,12 +223,8 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     n, h, w, d = feats.shape
     if weights.values.shape != (h, w, n):
         raise ShapeMismatch("weights shape disagrees with agents")
-    m = params.value_matrix()
-    values = feats @ m.T                              # (N, H, W, D)
-    contrib = values * np.moveaxis(weights.values, 2, 0)[..., None]
-    pooled = canonical_sum(contrib, axis=0)           # (H, W, D)
-    hidden = np.maximum(pooled @ params.ffn_w1.T + params.ffn_b1, 0.0)
-    out = pooled + hidden @ params.ffn_w2.T + params.ffn_b2
+    out, _, _ = attention_pool(feats, np.moveaxis(weights.values, 2, 0), params,
+                               canonical_sum)
     return FusedMap(grid=ego.grid, values=out, attention_trace=weights.values)
 
 

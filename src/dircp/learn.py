@@ -21,8 +21,9 @@ from .comms import (
     per_collaborator_budget,
     score_mlp_backward,
     score_mlp_forward,
+    top_cells,
 )
-from .fusion import AttentionParams
+from .fusion import AttentionParams, attention_pool, attention_weights
 from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
@@ -205,13 +206,24 @@ def _fused_to_pred(fused_values: np.ndarray) -> np.ndarray:
     return pred
 
 
+def _objective(fused_values: np.ndarray, tscene: TrainScene, settings: RunSettings):
+    """DWLoss of a fused map; returns (loss, per-direction losses, prediction)."""
+    scene = tscene.scene
+    pred = _fused_to_pred(fused_values)
+    parts = detection_loss(pred, tscene.truth, scene.sector_map, settings.n_dir,
+                           settings.lambda_off, settings.lambda_size)
+    return dw_loss(parts["total"], scene.mask, settings.loss_sigma), parts["total"], pred
+
+
 def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
                  settings: RunSettings, attn: AttentionParams | None = None,
                  want_grad: bool = True):
     """Differentiable surrogate of the full pipeline; returns (loss, grads, per_dir).
 
-    grads is None when want_grad is False. Gradients flow to the scorer
-    parameters only; attention parameters stay fixed.
+    The forward runs the evaluation path's attention kernel with every agent
+    present on soft-clipped features and a plain sum over agents. grads is
+    None when want_grad is False. Gradients flow to the scorer parameters
+    only; attention parameters stay fixed.
     """
     scene = tscene.scene
     if attn is None:
@@ -225,52 +237,22 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     qcm, mlp_cache = score_mlp_forward(params, scene.q0, scene.pe, scene.de)
     c_vals = qcm.values
 
+    # The threshold cell is the last one the hard clip keeps.
     limit = min(per_collaborator_budget(budget, h, w), hw)
+    flat = c_vals.reshape(hw, k).T
     qs = np.zeros((k, hw))
-    thr_idx = np.zeros(k, dtype=np.int64)
     if limit > 0:
-        for j in range(k):
-            flat = c_vals[:, :, j].ravel()
-            order = np.lexsort((np.arange(hw), -flat))
-            thr_idx[j] = order[limit - 1]
-            qs[j] = sigmoid((flat - flat[thr_idx[j]]) / tau)
+        thr_idx = top_cells(flat, limit)[:, -1]
+        qs = sigmoid((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
 
-    h_ag = np.empty_like(f)
-    h_ag[0] = f[0]
-    for j in range(k):
-        h_ag[j + 1] = qs[j].reshape(h, w)[:, :, None] * f[j + 1]
-
-    scale = 1.0 / math.sqrt(attn.head_dim)
-    a_heads, q_heads = [], []
-    pre = np.zeros((n, h, w))
-    for head in range(attn.n_heads):
-        q = f[0] @ attn.wq[head].T
-        keys = h_ag @ attn.wk[head].T
-        e = np.einsum("hwd,nhwd->nhw", q, keys) * scale
-        e -= e.max(axis=0)
-        ex = np.exp(e)
-        a = ex / ex.sum(axis=0)
-        a_heads.append(a)
-        q_heads.append(q)
-        pre += a
-    pre /= attn.n_heads
-    conf = np.ones((n, h, w))
-    conf[1:] = np.moveaxis(c_vals, 2, 0)
-    wgt = pre * conf
-
-    m_val = attn.value_matrix()
-    v = h_ag @ m_val.T
-    s = (v * wgt[..., None]).sum(axis=0)
-    u = s @ attn.ffn_w1.T + attn.ffn_b1
-    relu_u = np.maximum(u, 0.0)
-    fused = s + relu_u @ attn.ffn_w2.T + attn.ffn_b2
-
-    pred = _fused_to_pred(fused)
-    parts = detection_loss(pred, tscene.truth, scene.sector_map, settings.n_dir,
-                           settings.lambda_off, settings.lambda_size)
-    loss = dw_loss(parts["total"], scene.mask, settings.loss_sigma)
+    h_ag = f.copy()
+    h_ag[1:] *= qs.reshape(k, h, w, 1)
+    wgt, pre, conf, probs, queries = attention_weights(
+        f[0], h_ag, np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)
+    fused, v, u = attention_pool(h_ag, wgt, attn, np.sum)
+    loss, per_dir, pred = _objective(fused, tscene, settings)
     if not want_grad:
-        return loss, None, parts["total"]
+        return loss, None, per_dir
 
     dpred = dw_loss_gradient(pred, tscene.truth, scene.sector_map, scene.mask,
                              settings.loss_sigma, settings.lambda_off,
@@ -287,40 +269,30 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
 
     dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
     dv = wgt[..., None] * ds[None]
-    dh_ag = dv @ m_val
+    dh_ag = dv @ attn.value_matrix()
+    d_c = np.moveaxis(dwgt[1:] * pre[1:], 0, 2)
 
-    dpre = dwgt * conf
-    dconf = dwgt * pre
-    d_c = np.moveaxis(dconf[1:], 0, 2).copy()
-
-    for head in range(attn.n_heads):
-        da = dpre / attn.n_heads
-        a = a_heads[head]
+    scale = 1.0 / math.sqrt(attn.head_dim)
+    da = dwgt * conf / attn.n_heads
+    for a, q, wk in zip(probs, queries, attn.wk):
         de_h = a * (da - (a * da).sum(axis=0))
-        dkeys = de_h[..., None] * q_heads[head][None] * scale
-        dh_ag += dkeys @ attn.wk[head]
+        dh_ag += (de_h[..., None] * q[None] * scale) @ wk
 
-    dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
     if limit > 0:
-        for j in range(k):
-            sp = qs[j] * (1.0 - qs[j]) / tau
-            g = sp * dqs[j]
-            dc_flat = g.copy()
-            dc_flat[thr_idx[j]] -= g.sum()
-            d_c[:, :, j] += dc_flat.reshape(h, w)
+        dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
+        g = qs * (1.0 - qs) / tau * dqs
+        g[np.arange(k), thr_idx] -= g.sum(axis=1)
+        d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
 
     grads = score_mlp_backward(mlp_cache, d_c)
-    return loss, grads, parts["total"]
+    return loss, grads, per_dir
 
 
 def hard_path_loss(params: ScorerParams | None, tscene: TrainScene, budget: float,
                    settings: RunSettings, method: str = "directed") -> float:
     """DWLoss of the non-differentiable evaluation path, for gap reporting."""
     result = run_pipeline(tscene.scene, method, budget, settings, params)
-    pred = _fused_to_pred(result.fused.values)
-    parts = detection_loss(pred, tscene.truth, tscene.scene.sector_map,
-                           settings.n_dir, settings.lambda_off, settings.lambda_size)
-    return dw_loss(parts["total"], tscene.scene.mask, settings.loss_sigma)
+    return _objective(result.fused.values, tscene, settings)[0]
 
 
 @dataclass

@@ -55,7 +55,6 @@ class RunSettings:
     init_mode: str = "identity"          # or "random"
     attn_seed: int = 0
     qk_scale: float = 1.0
-    key_evidence_gain: float = 2.0
     conf_threshold: float = 0.55
     loss_sigma: float = 1.0
     lambda_off: float = 1.0
@@ -69,8 +68,7 @@ class RunSettings:
     def attention_params(self) -> AttentionParams:
         if self.init_mode == "identity":
             return AttentionParams.identity(self.d_channels, self.n_heads,
-                                            self.d_ff, qk_scale=self.qk_scale,
-                                            key_evidence_gain=self.key_evidence_gain)
+                                            self.d_ff, qk_scale=self.qk_scale)
         if self.init_mode == "random":
             return AttentionParams.random(self.d_channels, self.n_heads,
                                           self.d_ff, seed=self.attn_seed)

@@ -51,8 +51,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (-(2**63) <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
+        if not (math.isfinite(self.area_side) and self.area_side > 0):
+            raise ValueError("area_side must be positive and finite")
         if self.n_collaborators < 0:
             raise ValueError("n_collaborators must be >= 0")
         if self.n_vehicles < 1:
@@ -62,8 +62,8 @@ class ScenarioConfig:
             raise ValueError("density_profile needs non-negative weights, not all zero")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError("dropout_prob must lie in [0, 1]")
-        if self.sensor_range <= 0:
-            raise ValueError("sensor_range must be positive")
+        if not (math.isfinite(self.sensor_range) and self.sensor_range > 0):
+            raise ValueError("sensor_range must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent reference computations shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own code paths (polygon clipping,
-vectorized scoring and occlusion, analytic gradients, the array wire codec)
-so they can serve as oracles.
+vectorized scoring and occlusion, analytic gradients, the array wire codec,
+the shared attention kernel) so they can serve as oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dircp.geometry import (
     sector_of_point,
 )
 from dircp.grid import GridSpec
+from dircp.num import canonical_sum
 from dircp.scenario import ScenarioConfig, cell_dropout_uniforms
 
 
@@ -144,3 +145,164 @@ def cell_sector_map_loop(partition: SectorPartition, grid: GridSpec) -> np.ndarr
         for c in range(grid.w):
             out[r, c] = sector_of_point(*grid.center_of(r, c), partition)
     return out
+
+
+def hard_attention_weights(ego, feats, present, confidence, params,
+                           total=canonical_sum):
+    """The evaluation path's attention weights as dsa_weights wrote them inline.
+
+    Same arguments as fusion.attention_weights; returns (weights, pre).
+    """
+    n, h, w, _ = feats.shape
+    scale = 1.0 / math.sqrt(params.head_dim)
+    head_sum = np.zeros((n, h, w), dtype=np.float64)
+    for head in range(params.n_heads):
+        q = ego @ params.wq[head].T                   # (H, W, dh)
+        k = feats @ params.wk[head].T                 # (N, H, W, dh)
+        e = np.einsum("hwd,nhwd->nhw", q, k) * scale
+        e = np.where(present, e, -np.inf)
+        m = e.max(axis=0)
+        ex = np.where(present, np.exp(e - m), 0.0)
+        denom = total(ex, axis=0)
+        head_sum += ex / denom
+    pre = head_sum / params.n_heads                   # (N, H, W)
+    conf = np.ones((n, h, w), dtype=np.float64)
+    conf[1:] = np.moveaxis(confidence, 2, 0)
+    return pre * conf, pre
+
+
+def hard_attention_pool(feats, weights, params, total=canonical_sum):
+    """The evaluation path's fusion as fuse wrote it inline; returns the fused map."""
+    m = params.value_matrix()
+    values = feats @ m.T                              # (N, H, W, D)
+    contrib = values * weights[..., None]
+    pooled = total(contrib, axis=0)                   # (H, W, D)
+    hidden = np.maximum(pooled @ params.ffn_w1.T + params.ffn_b1, 0.0)
+    return pooled + hidden @ params.ffn_w2.T + params.ffn_b2
+
+
+def soft_attention_weights(ego, feats, present, confidence, params, total):
+    """The training path's attention weights as soft_forward wrote them inline.
+
+    Drop-in for fusion.attention_weights when every agent is present and the
+    sum over agents is np.sum.
+    """
+    assert present.all() and total is np.sum
+    n, h, w, _ = feats.shape
+    scale = 1.0 / math.sqrt(params.head_dim)
+    a_heads, q_heads = [], []
+    pre = np.zeros((n, h, w))
+    for head in range(params.n_heads):
+        q = ego @ params.wq[head].T
+        keys = feats @ params.wk[head].T
+        e = np.einsum("hwd,nhwd->nhw", q, keys) * scale
+        e -= e.max(axis=0)
+        ex = np.exp(e)
+        a = ex / ex.sum(axis=0)
+        a_heads.append(a)
+        q_heads.append(q)
+        pre += a
+    pre /= params.n_heads
+    conf = np.ones((n, h, w))
+    conf[1:] = np.moveaxis(confidence, 2, 0)
+    return pre * conf, pre, conf, a_heads, q_heads
+
+
+def soft_attention_pool(feats, weights, params, total):
+    """The training path's fusion as soft_forward wrote it inline.
+
+    Drop-in for fusion.attention_pool with the sum over agents np.sum.
+    """
+    assert total is np.sum
+    m_val = params.value_matrix()
+    v = feats @ m_val.T
+    s = (v * weights[..., None]).sum(axis=0)
+    u = s @ params.ffn_w1.T + params.ffn_b1
+    relu_u = np.maximum(u, 0.0)
+    return s + relu_u @ params.ffn_w2.T + params.ffn_b2, v, u
+
+
+def soft_forward_loops(params, tscene, budget, settings, attn=None):
+    """soft_forward as written before the shared kernel: per-collaborator loops
+    for the soft clip and its backward, the inline attention above, and its own
+    lexsort ranking. Returns (loss, grads, per_direction)."""
+    from dircp.comms import per_collaborator_budget, score_mlp_backward, score_mlp_forward
+    from dircp.learn import _fused_to_pred, detection_loss, dw_loss, dw_loss_gradient
+    from dircp.num import sigmoid
+
+    scene = tscene.scene
+    if attn is None:
+        attn = settings.attention_params()
+    f = scene.features
+    n, h, w, d = f.shape
+    k = n - 1
+    hw = h * w
+    tau = settings.tau
+
+    qcm, mlp_cache = score_mlp_forward(params, scene.q0, scene.pe, scene.de)
+    c_vals = qcm.values
+
+    limit = min(per_collaborator_budget(budget, h, w), hw)
+    qs = np.zeros((k, hw))
+    thr_idx = np.zeros(k, dtype=np.int64)
+    if limit > 0:
+        for j in range(k):
+            flat = c_vals[:, :, j].ravel()
+            order = np.lexsort((np.arange(hw), -flat))
+            thr_idx[j] = order[limit - 1]
+            qs[j] = sigmoid((flat - flat[thr_idx[j]]) / tau)
+
+    h_ag = np.empty_like(f)
+    h_ag[0] = f[0]
+    for j in range(k):
+        h_ag[j + 1] = qs[j].reshape(h, w)[:, :, None] * f[j + 1]
+
+    wgt, pre, conf, a_heads, q_heads = soft_attention_weights(
+        f[0], h_ag, np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)
+    fused, v, u = soft_attention_pool(h_ag, wgt, attn, np.sum)
+    m_val = attn.value_matrix()
+    scale = 1.0 / math.sqrt(attn.head_dim)
+
+    pred = _fused_to_pred(fused)
+    parts = detection_loss(pred, tscene.truth, scene.sector_map, settings.n_dir,
+                           settings.lambda_off, settings.lambda_size)
+    loss = dw_loss(parts["total"], scene.mask, settings.loss_sigma)
+
+    dpred = dw_loss_gradient(pred, tscene.truth, scene.sector_map, scene.mask,
+                             settings.loss_sigma, settings.lambda_off,
+                             settings.lambda_size)
+    dfused = np.zeros((h, w, d))
+    p0 = pred[:, :, 0]
+    dfused[:, :, 0] = dpred[:, :, 0] * p0 * (1.0 - p0)
+    reg = min(7, d)
+    dfused[:, :, 1:reg] += dpred[:, :, 1:reg]
+
+    dr = dfused @ attn.ffn_w2
+    du = dr * (u > 0.0)
+    ds = dfused + du @ attn.ffn_w1
+
+    dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
+    dv = wgt[..., None] * ds[None]
+    dh_ag = dv @ m_val
+
+    dpre = dwgt * conf
+    dconf = dwgt * pre
+    d_c = np.moveaxis(dconf[1:], 0, 2).copy()
+
+    for head in range(attn.n_heads):
+        da = dpre / attn.n_heads
+        a = a_heads[head]
+        de_h = a * (da - (a * da).sum(axis=0))
+        dkeys = de_h[..., None] * q_heads[head][None] * scale
+        dh_ag += dkeys @ attn.wk[head]
+
+    dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
+    if limit > 0:
+        for j in range(k):
+            sp = qs[j] * (1.0 - qs[j]) / tau
+            g = sp * dqs[j]
+            dc_flat = g.copy()
+            dc_flat[thr_idx[j]] -= g.sum()
+            d_c[:, :, j] += dc_flat.reshape(h, w)
+
+    return loss, score_mlp_backward(mlp_cache, d_c), parts["total"]

@@ -80,6 +80,60 @@ class TestConfig:
             load_config(path)
 
 
+BAD_CONFIG_VALUES = [
+    ("fusion.n_heads", "0", ""),
+    ("fusion.n_heads", "-2", ""),
+    ("fusion.d_ff", "-3", ""),
+    ("grid.cell_size", "0", ""),
+    ("grid.cell_size", "-1", ""),
+    ("scenario.area_side", "inf", ""),
+    ("scenario.area_side", "nan", ""),
+    ("scenario.sensor_range", "nan", ""),
+    ("direction.n_dir", "0", "interest_weights =\n[scenario]\ndensity_profile =\n"),
+    ("grid.cell_size", "1e-10", "[scenario]\narea_side = 1e308\n"),
+    ("direction.sigma1", "2", ""),
+    ("direction.sigma2", "nan", ""),
+    ("fusion.qk_scale", "inf", ""),
+    ("loss.lambda_off", "nan", ""),
+]
+
+
+@pytest.mark.parametrize("key,value,extra", BAD_CONFIG_VALUES,
+                         ids=[f"{k}={v}" for k, v, _ in BAD_CONFIG_VALUES])
+def test_bad_config_value_exit_2_names_key(tmp_path, capsys, key, value, extra):
+    section, name = key.split(".")
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{name} = {value}\n{extra}"
+                    f"[output]\ndirectory = {tmp_path}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+BAD_FLAGS = [
+    (["sweep", "--train-steps", "0"], "--train-steps"),
+    (["sweep", "--train-lr", "nan"], "--train-lr"),
+    (["sweep", "--jobs", "0"], "--jobs"),
+    (["sweep", "--jobs", "-4"], "--jobs"),
+    (["train", "--lr", "nan"], "--lr"),
+    (["train", "--lr", "inf"], "--lr"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+def test_bad_flag_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    import dircp.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("sweep", "train_sigma_scorers", "train_scorer", "generate"):
+        monkeypatch.setattr(dircp.cli, name, no_work)
+    path, _ = write_config(tmp_path, extra="\n[comms]\nscorer = mlp\nhidden = 4\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert flag in capsys.readouterr().err
+
+
 class TestCmdRun:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "nope.cfg")])

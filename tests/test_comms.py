@@ -20,6 +20,7 @@ from dircp.comms import (
     score_mlp_forward,
     score_reference,
     serialize,
+    top_cells,
 )
 from dircp.features import BevFeatureMap
 from dircp.grid import GridSpec
@@ -124,6 +125,17 @@ class TestScoreMlp:
 
 
 class TestClipQueries:
+    def test_top_cells_matches_lexsort_rule(self):
+        # Few distinct values, so most ranks are decided by the index tie-break.
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            scores = rng.integers(0, 4, (int(rng.integers(1, 5)), 37)) / 3.0
+            limit = int(rng.integers(0, 38))
+            expected = [np.lexsort((np.arange(37), -row))[:limit] for row in scores]
+            assert np.array_equal(top_cells(scores, limit), np.array(expected).reshape(
+                len(scores), limit))
+            assert np.array_equal(top_cells(scores[0], limit), expected[0])
+
     def test_hand_top2(self):
         c = QueryConfidenceMap(np.array([[[0.9], [0.1]], [[0.4], [0.7]]]))
         q = clip_queries(c, 0.5)

@@ -8,12 +8,22 @@ from dircp.features import BevFeatureMap, SparseFeatureMap
 from dircp.fusion import (
     AttentionParams,
     FusedMap,
+    attention_pool,
     attention_trace_csv,
+    attention_weights,
     decode,
     dsa_weights,
     fuse,
 )
 from dircp.grid import GridSpec
+from dircp.num import canonical_sum
+
+from _oracles import (
+    hard_attention_pool,
+    hard_attention_weights,
+    soft_attention_pool,
+    soft_attention_weights,
+)
 
 
 def sparse_from_dense(dense, cells):
@@ -166,6 +176,58 @@ class TestFuse:
         assert np.array_equal(fused.values, fused_p.values)
         for out_ch, src in enumerate(perm):
             assert np.array_equal(w_p.values[:, :, out_ch + 1], w.values[:, :, src + 1])
+
+
+def kernel_inputs(rng, trial):
+    """Seeded kernel inputs: 2-9 agents, 1-4 heads, identity or random params."""
+    n = int(rng.integers(2, 10))
+    n_heads = int(rng.integers(1, 5))
+    d = 12 if n_heads == 3 else 8
+    h, w = (int(v) for v in rng.integers(1, 7, 2))
+    params = (AttentionParams.identity(d, n_heads) if trial % 2 == 0
+              else AttentionParams.random(d, n_heads, seed=trial))
+    feats = rng.normal(size=(n, h, w, d))
+    present = rng.uniform(size=(n, h, w)) < 0.6
+    present[0] = True
+    present[1:, 0, 0] = False  # at least one cell with the ego alone
+    feats[1:][~present[1:]] = 0.0
+    confidence = rng.uniform(0.0, 1.0, (h, w, n - 1))
+    confidence[rng.uniform(size=(h, w, n - 1)) < 0.2] = 0.0
+    return feats, present, confidence, params
+
+
+class TestKernelMatchesOracles:
+    @pytest.mark.parametrize("total", [canonical_sum, np.sum])
+    def test_matches_inline_evaluation_path(self, total):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            feats, present, confidence, params = kernel_inputs(rng, trial)
+            weights, pre, *_ = attention_weights(feats[0], feats, present, confidence,
+                                                 params, total)
+            ref_weights, ref_pre = hard_attention_weights(feats[0], feats, present,
+                                                          confidence, params, total)
+            assert np.array_equal(weights, ref_weights)
+            assert np.array_equal(pre, ref_pre)
+            fused, _, _ = attention_pool(feats, weights, params, total)
+            assert np.array_equal(fused, hard_attention_pool(feats, ref_weights,
+                                                             params, total))
+
+    def test_matches_inline_training_path(self):
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            feats, _, confidence, params = kernel_inputs(rng, trial)
+            present = np.ones(feats.shape[:3], dtype=bool)
+            args = (feats[0], feats, present, confidence, params, np.sum)
+            got = attention_weights(*args)
+            ref = soft_attention_weights(*args)
+            for a, b in zip(got[:3], ref[:3]):
+                assert np.array_equal(a, b)
+            for a_list, b_list in zip(got[3:], ref[3:]):
+                assert len(a_list) == len(b_list) == params.n_heads
+                assert all(np.array_equal(a, b) for a, b in zip(a_list, b_list))
+            for a, b in zip(attention_pool(feats, got[0], params, np.sum),
+                            soft_attention_pool(feats, ref[0], params, np.sum)):
+                assert np.array_equal(a, b)
 
 
 def fused_evidence(grid, evidence_value, cells, n_agents=1):

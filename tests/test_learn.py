@@ -24,6 +24,8 @@ from dircp.learn import (
 from dircp.pipeline import RunSettings, prepare_scene
 from dircp.scenario import ScenarioConfig, generate
 
+from _oracles import soft_attention_pool, soft_attention_weights, soft_forward_loops
+
 
 class TestDwLoss:
     def test_hand_case(self):
@@ -238,6 +240,38 @@ class TestSoftPath:
         assert math.isfinite(val)
         val_ref = hard_path_loss(None, ts, 0.3, settings)
         assert math.isfinite(val_ref)
+
+
+class TestSoftPathMatchesOracle:
+    @pytest.mark.parametrize("seed,n_collaborators,kw", [
+        (11, 2, {}),
+        (12, 4, {"n_heads": 4, "init_mode": "random", "attn_seed": 3}),
+    ])
+    def test_soft_forward_matches_inline_attention(self, monkeypatch, seed,
+                                                   n_collaborators, kw):
+        settings = tiny_settings(**kw)
+        ts = tiny_scene(seed=seed, n_vehicles=3, n_collaborators=n_collaborators,
+                        settings=settings)
+        params = ScorerParams.random(4, seed=seed, scale=0.4)
+        loss, grads, per_dir = soft_forward(params, ts, 0.3, settings)
+        import dircp.learn
+        monkeypatch.setattr(dircp.learn, "attention_weights", soft_attention_weights)
+        monkeypatch.setattr(dircp.learn, "attention_pool", soft_attention_pool)
+        ref_loss, ref_grads, ref_per_dir = soft_forward(params, ts, 0.3, settings)
+        assert loss == ref_loss
+        assert np.array_equal(per_dir, ref_per_dir)
+        assert np.array_equal(grads.to_vector(), ref_grads.to_vector())
+
+    @pytest.mark.parametrize("budget", [0.0, 0.05, 0.3, 1.0])
+    def test_soft_forward_matches_loop_oracle(self, budget):
+        settings = tiny_settings(d_channels=6, n_heads=3)
+        ts = tiny_scene(seed=13, n_vehicles=3, n_collaborators=3, settings=settings)
+        params = ScorerParams.random(4, seed=13, scale=0.4)
+        loss, grads, per_dir = soft_forward(params, ts, budget, settings)
+        ref_loss, ref_grads, ref_per_dir = soft_forward_loops(params, ts, budget, settings)
+        assert loss == ref_loss
+        assert np.array_equal(per_dir, ref_per_dir)
+        assert np.array_equal(grads.to_vector(), ref_grads.to_vector())
 
 
 class TestTrainScorer:

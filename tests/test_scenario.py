@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(dropout_prob=1.5)
 
+    @pytest.mark.parametrize("field", ["area_side", "sensor_range"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_lengths_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
 
 class TestGenerate:
     def test_vehicle_count_conserved(self):
