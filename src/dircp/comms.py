@@ -208,14 +208,10 @@ def score_mlp_forward(params: ScorerParams, q0, pe, de):
     """MLP scorer forward pass; returns (QueryConfidenceMap, cache for backward)."""
     x = _stack_inputs(q0, pe, de)
     flat = x.reshape(-1, 3)
-    z1 = flat @ params.w1.T + params.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ params.w2.T + params.b2
-    h2 = np.maximum(z2, 0.0)
-    z3 = h2 @ params.w3 + params.b3
-    c = sigmoid(z3)
-    cache = {"x": flat, "z1": z1, "h1": h1, "z2": z2, "h2": h2, "c": c,
-             "shape": x.shape[:3], "params": params}
+    h1 = np.maximum(flat @ params.w1.T + params.b1, 0.0)
+    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
+    c = sigmoid(h2 @ params.w3 + params.b3)
+    cache = {"x": flat, "h1": h1, "h2": h2, "c": c, "params": params}
     return QueryConfidenceMap(c.reshape(x.shape[:3])), cache
 
 
@@ -233,12 +229,11 @@ def score_mlp_backward(cache: dict, d_c: np.ndarray) -> ScorerParams:
     dz3 = flat_dc * sigmoid_grad_from_value(cache["c"])
     dw3 = cache["h2"].T @ dz3
     db3 = float(dz3.sum())
-    dh2 = np.outer(dz3, params.w3)
-    dz2 = dh2 * (cache["z2"] > 0.0)
+    # A ReLU's output is positive exactly where its input is.
+    dz2 = np.outer(dz3, params.w3) * (cache["h2"] > 0.0)
     dw2 = dz2.T @ cache["h1"]
     db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ params.w2
-    dz1 = dh1 * (cache["z1"] > 0.0)
+    dz1 = (dz2 @ params.w2) * (cache["h1"] > 0.0)
     dw1 = dz1.T @ cache["x"]
     db1 = dz1.sum(axis=0)
     return ScorerParams(dw1, db1, dw2, db2, dw3, db3)

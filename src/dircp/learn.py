@@ -250,6 +250,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     wgt, pre, conf, probs, queries = attention_weights(
         f[0], h_ag, np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)
     fused, v, u = attention_pool(h_ag, wgt, attn, np.sum)
+    del h_ag  # the backward reads v, not the features it was projected from
     loss, per_dir, pred = _objective(fused, tscene, settings)
     if not want_grad:
         return loss, None, per_dir
@@ -263,12 +264,11 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     reg = min(7, d)
     dfused[:, :, 1:reg] += dpred[:, :, 1:reg]
 
-    dr = dfused @ attn.ffn_w2
-    du = dr * (u > 0.0)
+    du = (dfused @ attn.ffn_w2) * (u > 0.0)
     ds = dfused + du @ attn.ffn_w1
 
     dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
-    dv = wgt[..., None] * ds[None]
+    dv = np.multiply(wgt[..., None], ds[None], out=v)  # v is not read again
     dh_ag = dv @ attn.value_matrix()
     d_c = np.moveaxis(dwgt[1:] * pre[1:], 0, 2)
 
@@ -276,7 +276,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     da = dwgt * conf / attn.n_heads
     for a, q, wk in zip(probs, queries, attn.wk):
         de_h = a * (da - (a * da).sum(axis=0))
-        dh_ag += (de_h[..., None] * q[None] * scale) @ wk
+        dh_ag += np.matmul(de_h[..., None] * q[None] * scale, wk, out=dv)
 
     if limit > 0:
         dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
@@ -284,6 +284,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
         g[np.arange(k), thr_idx] -= g.sum(axis=1)
         d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
 
+    del v, dv, dh_ag  # free the (N, H, W, D) arrays before the scorer's backward
     grads = score_mlp_backward(mlp_cache, d_c)
     return loss, grads, per_dir
 
