@@ -12,14 +12,13 @@ from .comms import ScorerParams
 from .config import ConfigError, RunConfig, effective_config_text, load_config, schema_help
 from .evaluate import CONVENTIONS, score_result, sweep, train_sigma_scorers
 from .fusion import attention_trace_csv
-from .grid import GridSpec
 from .learn import (
     DivergedTraining,
     load_scorer,
-    make_train_scene,
     save_scorer,
     train_scorer,
     training_log_csv,
+    training_scenes,
 )
 from .pipeline import prepare_scene, run_pipeline
 from .report import (
@@ -87,16 +86,18 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _load(args) -> tuple[RunConfig, Path, GridSpec]:
+def _load(args, pipeline: bool = True) -> tuple[RunConfig, Path]:
+    """Load the config and echo it; pipeline commands also need a collaborator."""
     overrides = {}
     if getattr(args, "output", None):
         overrides["output.directory"] = args.output
     cfg = load_config(args.config, overrides=overrides)
+    _require(not pipeline or cfg.scenario.n_collaborators >= 1,
+             f"scenario.n_collaborators: dircp {args.command} needs at least one")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = GridSpec(cfg.grid_h, cfg.grid_w, cfg.cell_size)
     write_text(out_dir / "effective.cfg", effective_config_text(cfg))
-    return cfg, out_dir, grid
+    return cfg, out_dir
 
 
 def _scorer_for(cfg: RunConfig, checkpoint: str | None = None) -> ScorerParams | None:
@@ -108,12 +109,12 @@ def _scorer_for(cfg: RunConfig, checkpoint: str | None = None) -> ScorerParams |
 
 
 def cmd_run(args) -> int:
-    cfg, out_dir, grid = _load(args)
+    cfg, out_dir = _load(args)
     scorer = _scorer_for(cfg, args.scorer_checkpoint)
     results = []
     first_run = None
     for seed in cfg.seeds:
-        world = generate(replace(cfg.scenario, seed=seed), grid=grid)
+        world = generate(replace(cfg.scenario, seed=seed), grid=cfg.grid)
         scene = prepare_scene(world, cfg.settings)
         for method in cfg.methods:
             params = None if method == "single" else scorer
@@ -142,7 +143,7 @@ def cmd_sweep(args) -> int:
     _require(args.train_steps >= 1, "--train-steps: must be >= 1")
     _require(math.isfinite(args.train_lr), "--train-lr: must be finite")
     _require(args.seeds is None or args.seeds >= 1, "--seeds: need at least one seed")
-    cfg, out_dir, grid = _load(args)
+    cfg, out_dir = _load(args)
     budgets = ([cfg.settings.q_max] if args.budgets is None
                else _parse_float_list(args.budgets, "--budgets"))
     sigmas = ([cfg.settings.loss_sigma] if args.sigmas is None
@@ -154,10 +155,10 @@ def cmd_sweep(args) -> int:
         scorers = train_sigma_scorers(cfg.scenario, cfg.settings, sigmas,
                                       cfg.settings.q_max, steps=args.train_steps,
                                       learning_rate=args.train_lr,
-                                      hidden=cfg.scorer_hidden, grid=grid)
+                                      hidden=cfg.scorer_hidden, grid=cfg.grid)
     result = sweep(cfg.scenario, cfg.settings, budgets, sigmas, seeds,
                    methods=cfg.methods, scorers=scorers, jobs=args.jobs,
-                   grid=grid)
+                   grid=cfg.grid)
     if "csv" in cfg.formats:
         write_text(out_dir / "sweep.csv",
                    sweep_csv(result, cfg.settings.iou_thresholds))
@@ -178,12 +179,8 @@ def cmd_train(args) -> int:
     _require(args.steps >= 1, "--steps: must be >= 1")
     _require(args.batch >= 1, "--batch: must be >= 1")
     _require(math.isfinite(args.lr), "--lr: must be finite")
-    cfg, out_dir, grid = _load(args)
-    scenes = []
-    base = cfg.scenario.seed + 100_000
-    for i in range(args.batch):
-        world = generate(replace(cfg.scenario, seed=base + i), grid=grid)
-        scenes.append(make_train_scene(prepare_scene(world, cfg.settings)))
+    cfg, out_dir = _load(args)
+    scenes = training_scenes(cfg.scenario, cfg.settings, args.batch, cfg.grid)
     init = ScorerParams.random(cfg.scorer_hidden, seed=cfg.scenario.seed, scale=0.3)
     result = train_scorer(init, scenes, cfg.settings.q_max, cfg.settings,
                           learning_rate=args.lr, steps=args.steps)
@@ -198,9 +195,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_export_scene(args) -> int:
-    cfg, out_dir, grid = _load(args)
+    cfg, out_dir = _load(args, pipeline=False)
     for seed in cfg.seeds:
-        world = generate(replace(cfg.scenario, seed=seed), grid=grid)
+        world = generate(replace(cfg.scenario, seed=seed), grid=cfg.grid)
         export_scene(world, out_dir / f"scene_{seed}.json")
     return EXIT_OK
 

@@ -32,6 +32,8 @@ WIRE_MAGIC = b"DCPM"
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sHHHIHH")  # magic, version, sender, receiver, count, D, reserved
 HEADER_SIZE = _HEADER.size
+SCORERS = ("reference", "mlp")          # score_reference, score_mlp
+TIE_BREAKS = ("per_collaborator", "global")  # top-k scopes of clip_queries
 
 
 def _entry_dtype(d: int) -> np.dtype:
@@ -263,7 +265,7 @@ def clip_queries(c: QueryConfidenceMap, q_max: float,
     """
     if not (0.0 <= q_max <= 1.0):
         raise ValueError("q_max must lie in [0, 1]")
-    if tie_break not in ("per_collaborator", "global"):
+    if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break mode {tie_break!r}")
     h, w, k = c.values.shape
     if tie_break == "per_collaborator":

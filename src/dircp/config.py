@@ -6,9 +6,13 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
-from .pipeline import METHODS, RunSettings
+from .comms import SCORERS, TIE_BREAKS
+from .direction import default_sigma1
+from .grid import GridSpec
+from .pipeline import INIT_MODES, METHODS, Q0_MODES, RunSettings
 from .scenario import ScenarioConfig
 
 ENV_SEED = "DIRCP_SEED"
@@ -47,75 +51,86 @@ def _parse_boundaries(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-# section -> key -> (default string, parser, description)
-SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
+# section -> key -> (default string, parser, RunConfig field it sets, description).
+# A default of "" means "auto": the value is derived from other keys in load_config.
+SCHEMA: dict[str, dict[str, tuple[str, object, str, str]]] = {
     "scenario": {
-        "seed": ("0", int, "base 64-bit scenario seed"),
-        "area_side": ("64", float, "square scene side in meters"),
-        "n_collaborators": ("4", int, "collaborating vehicles besides the ego"),
-        "n_vehicles": ("12", int, "ground-truth vehicles to place"),
-        "density_profile": ("1,1,1,1", _parse_floats,
+        "seed": ("0", int, "scenario.seed", "base 64-bit scenario seed"),
+        "area_side": ("64", float, "scenario.area_side", "square scene side in meters"),
+        "n_collaborators": ("4", int, "scenario.n_collaborators",
+                            "collaborating vehicles besides the ego"),
+        "n_vehicles": ("12", int, "scenario.n_vehicles", "ground-truth vehicles to place"),
+        "density_profile": ("1,1,1,1", _parse_floats, "scenario.density_profile",
                             "relative per-sector traffic density weights"),
-        "sensor_range": ("28", float, "per-agent sensing radius in meters"),
-        "occlusion": ("true", _parse_bool, "enable line-of-sight occlusion"),
-        "dropout_prob": ("0.0", float, "per-cell evidence dropout probability"),
+        "sensor_range": ("28", float, "scenario.sensor_range",
+                         "per-agent sensing radius in meters"),
+        "occlusion": ("true", _parse_bool, "scenario.occlusion_enabled",
+                      "enable line-of-sight occlusion"),
+        "dropout_prob": ("0.0", float, "scenario.dropout_prob",
+                         "per-cell evidence dropout probability"),
     },
     "grid": {
-        "h": ("", int, "grid rows (default: area_side / cell_size)"),
-        "w": ("", int, "grid cols (default: area_side / cell_size)"),
-        "d": ("8", int, "feature channels"),
-        "cell_size": ("1.0", float, "cell edge length in meters"),
+        "h": ("", int, "grid.h", "grid rows (default: area_side / cell_size)"),
+        "w": ("", int, "grid.w", "grid cols (default: area_side / cell_size)"),
+        "d": ("8", int, "settings.d_channels", "feature channels"),
+        "cell_size": ("1.0", float, "grid.cell_size", "cell edge length in meters"),
     },
     "direction": {
-        "n_dir": ("4", int, "number of angular sectors"),
-        "boundaries": ("", _parse_boundaries,
+        "n_dir": ("4", int, "settings.n_dir", "number of angular sectors"),
+        "boundaries": ("", _parse_boundaries, "settings.boundaries",
                        "sector intervals 'lo:hi,...' in degrees (default uniform)"),
-        "interest_weights": ("0.9,0.9,0.1,0.1", _parse_floats,
+        "interest_weights": ("0.9,0.9,0.1,0.1", _parse_floats, "settings.interest",
                              "ego per-sector interest in [0,1]"),
-        "sigma1": ("", float, "relative mask threshold (default 1/(2 n_dir))"),
-        "sigma2": ("5.0", float, "absolute mask threshold in vehicles"),
+        "sigma1": ("", float, "settings.sigma1",
+                   "relative mask threshold (default 1/(2 n_dir))"),
+        "sigma2": ("5.0", float, "settings.sigma2", "absolute mask threshold in vehicles"),
     },
     "comms": {
-        "q_max": ("0.2", float, "communication budget in [0,1]"),
-        "q0_mode": ("ones", str, "initial query map: ones | confidence_gap"),
-        "tie_break": ("per_collaborator", str,
-                      "top-k scope: per_collaborator | global"),
-        "scorer": ("reference", str, "query scorer: reference | mlp"),
-        "hidden": ("8", int, "MLP scorer hidden width"),
+        "q_max": ("0.2", float, "settings.q_max", "communication budget in [0,1]"),
+        "q0_mode": ("ones", str, "settings.q0_mode",
+                    "initial query map: " + " | ".join(Q0_MODES)),
+        "tie_break": ("per_collaborator", str, "settings.tie_break",
+                      "top-k scope: " + " | ".join(TIE_BREAKS)),
+        "scorer": ("reference", str, "scorer", "query scorer: " + " | ".join(SCORERS)),
+        "hidden": ("8", int, "scorer_hidden", "MLP scorer hidden width"),
     },
     "fusion": {
-        "n_heads": ("2", int, "attention heads"),
-        "d_ff": ("", int, "FFN hidden width (default 2*d)"),
-        "init_mode": ("identity", str, "attention init: identity | random"),
-        "seed": ("0", int, "seed for random attention init"),
-        "qk_scale": ("1.0", float, "query/key projection scale (identity init)"),
+        "n_heads": ("2", int, "settings.n_heads", "attention heads"),
+        "d_ff": ("", int, "settings.d_ff", "FFN hidden width (default 2*d)"),
+        "init_mode": ("identity", str, "settings.init_mode",
+                      "attention init: " + " | ".join(INIT_MODES)),
+        "seed": ("0", int, "settings.attn_seed", "seed for random attention init"),
+        "qk_scale": ("1.0", float, "settings.qk_scale",
+                     "query/key projection scale (identity init)"),
     },
     "loss": {
-        "sigma": ("1.0", float, "direction weight-control factor"),
-        "lambda_off": ("1.0", float, "offset loss weight"),
-        "lambda_size": ("1.0", float, "size/angle loss weight"),
-        "tau": ("0.05", float, "soft clipping temperature (training)"),
+        "sigma": ("1.0", float, "settings.loss_sigma", "direction weight-control factor"),
+        "lambda_off": ("1.0", float, "settings.lambda_off", "offset loss weight"),
+        "lambda_size": ("1.0", float, "settings.lambda_size", "size/angle loss weight"),
+        "tau": ("0.05", float, "settings.tau", "soft clipping temperature (training)"),
     },
     "eval": {
-        "iou_thresholds": ("0.5,0.7", _parse_floats, "AP IoU thresholds"),
-        "methods": ("directed,uniform,single", _parse_strs, "methods to run"),
-        "seeds": ("", _parse_ints, "explicit eval seeds (default: scenario seed)"),
-        "conf_threshold": ("0.55", float, "decoder confidence threshold"),
+        "iou_thresholds": ("0.5,0.7", _parse_floats, "settings.iou_thresholds",
+                           "AP IoU thresholds"),
+        "methods": ("directed,uniform,single", _parse_strs, "methods", "methods to run"),
+        "seeds": ("", _parse_ints, "seeds", "explicit eval seeds (default: scenario seed)"),
+        "conf_threshold": ("0.55", float, "settings.conf_threshold",
+                           "decoder confidence threshold"),
     },
     "output": {
-        "directory": ("out", str, "output directory"),
-        "formats": ("csv,json,svg", _parse_strs, "report formats to emit"),
+        "directory": ("out", str, "out_dir", "output directory"),
+        "formats": ("csv,json,svg", _parse_strs, "formats", "report formats to emit"),
     },
 }
+# The parts of RunConfig that SCHEMA fields address as "<part>.<attribute>".
+_PARTS = {"scenario": ScenarioConfig, "grid": GridSpec, "settings": RunSettings}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
+    grid: GridSpec
     settings: RunSettings
-    grid_h: int
-    grid_w: int
-    cell_size: float
     scorer: str
     scorer_hidden: int
     methods: tuple[str, ...]
@@ -128,14 +143,15 @@ def schema_help() -> str:
     lines = ["configuration keys (defaults in parentheses):"]
     for section, keys in SCHEMA.items():
         lines.append(f"  [{section}]")
-        for key, (default, _, desc) in keys.items():
+        for key, (default, _, _, desc) in keys.items():
             shown = default if default != "" else "auto"
             lines.append(f"    {key} ({shown}): {desc}")
     return "\n".join(lines)
 
 
 def _read_raw(path: str | Path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No interpolation: a "%" is a literal, as effective_config_text writes it.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     text = Path(path).read_text(encoding="utf-8")
     parser.read_string(text, source=str(path))
     return {s: dict(parser.items(s)) for s in parser.sections()}
@@ -159,23 +175,18 @@ def load_config(path: str | Path | None = None,
         except (configparser.Error, OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
 
-    for section, keys in raw.items():
-        if section not in SCHEMA:
-            errors.append(f"unknown section [{section}]")
-            continue
-        for key in keys:
-            if key not in SCHEMA[section]:
-                errors.append(f"unknown key {section}.{key}")
-
-    values: dict[str, dict[str, object]] = {}
     merged: dict[str, dict[str, str]] = {
         s: {k: spec[0] for k, spec in keys.items()} for s, keys in SCHEMA.items()
     }
     for section, keys in raw.items():
-        if section in SCHEMA:
-            for key, text in keys.items():
-                if key in SCHEMA[section]:
-                    merged[section][key] = text
+        if section not in SCHEMA:
+            errors.append(f"unknown section [{section}]")
+            continue
+        for key, text in keys.items():
+            if key in SCHEMA[section]:
+                merged[section][key] = text
+            else:
+                errors.append(f"unknown key {section}.{key}")
     if overrides:
         for dotted, text in overrides.items():
             section, _, key = dotted.partition(".")
@@ -187,12 +198,13 @@ def load_config(path: str | Path | None = None,
     if env_seed is not None:
         merged["scenario"]["seed"] = env_seed
 
+    values: dict[str, dict[str, object]] = {}
     for section, keys in merged.items():
         values[section] = {}
         for key, text in keys.items():
-            default, parse, _ = SCHEMA[section][key]
-            if text == "":
-                values[section][key] = None
+            default, parse, _, _ = SCHEMA[section][key]
+            if text == "" and default == "":
+                values[section][key] = None  # auto: resolved below
                 continue
             try:
                 values[section][key] = parse(text)
@@ -226,119 +238,92 @@ def load_config(path: str | Path | None = None,
     if errors:
         raise ConfigError("\n".join(errors))
 
-    cell = gr["cell_size"]
-    cells = sc["area_side"] / cell
+    # Resolve the auto defaults, so that the echo loads back to the same run.
+    cells = sc["area_side"] / gr["cell_size"]
     if not math.isfinite(cells):
         raise ConfigError("grid.cell_size is too small for scenario.area_side")
-    default_cells = int(round(cells))
-    grid_h = gr["h"] if gr["h"] is not None else default_cells
-    grid_w = gr["w"] if gr["w"] is not None else default_cells
+    for axis in ("h", "w"):
+        if gr[axis] is None:
+            gr[axis] = int(round(cells))
+    if di["sigma1"] is None:
+        di["sigma1"] = default_sigma1(di["n_dir"])
+    if fu["d_ff"] is None:
+        fu["d_ff"] = 2 * gr["d"]
+    if not ev["seeds"]:
+        ev["seeds"] = (sc["seed"],)
 
-    check(grid_h * cell == sc["area_side"] and grid_w * cell == sc["area_side"],
+    cell = gr["cell_size"]
+    check(gr["h"] * cell == sc["area_side"] and gr["w"] * cell == sc["area_side"],
           f"grid.h/w x cell_size must cover area_side exactly "
-          f"({grid_h}x{grid_w} cells at {cell} vs {sc['area_side']} m)")
+          f"({gr['h']}x{gr['w']} cells at {cell} vs {sc['area_side']} m)")
     check(gr["d"] >= 2, "grid.d: need at least 2 channels")
-    check(len(di["interest_weights"] or ()) == di["n_dir"],
+    check(len(di["interest_weights"]) == di["n_dir"],
           "direction.interest_weights length must equal n_dir")
-    check(len(sc["density_profile"] or ()) == di["n_dir"],
+    check(len(sc["density_profile"]) == di["n_dir"],
           "scenario.density_profile length must equal direction.n_dir")
-    check(co["q0_mode"] in ("ones", "confidence_gap"),
-          f"comms.q0_mode: unknown mode {co['q0_mode']!r}")
-    check(co["tie_break"] in ("per_collaborator", "global"),
-          f"comms.tie_break: unknown mode {co['tie_break']!r}")
-    check(co["scorer"] in ("reference", "mlp"),
-          f"comms.scorer: unknown scorer {co['scorer']!r}")
-    check(fu["init_mode"] in ("identity", "random"),
-          f"fusion.init_mode: unknown mode {fu['init_mode']!r}")
+    for section, key, allowed in (("comms", "q0_mode", Q0_MODES),
+                                  ("comms", "tie_break", TIE_BREAKS),
+                                  ("comms", "scorer", SCORERS),
+                                  ("fusion", "init_mode", INIT_MODES)):
+        check(values[section][key] in allowed,
+              f"{section}.{key}: unknown value {values[section][key]!r}, "
+              f"expected one of {allowed}")
     check(0.0 <= co["q_max"] <= 1.0, "comms.q_max must lie in [0, 1]")
     check(0.0 < ev["conf_threshold"] < 1.0,
           "eval.conf_threshold must lie in (0, 1)")
-    check(all(0.0 < t < 1.0 for t in ev["iou_thresholds"]),
-          "eval.iou_thresholds must lie in (0, 1)")
-    methods = ev["methods"] or ()
-    check(bool(methods) and all(m in METHODS for m in methods),
+    check(bool(ev["iou_thresholds"]) and all(0.0 < t < 1.0 for t in ev["iou_thresholds"]),
+          "eval.iou_thresholds must be non-empty and lie in (0, 1)")
+    check(bool(ev["methods"]) and all(m in METHODS for m in ev["methods"]),
           f"eval.methods must be drawn from {METHODS}")
+    check(ou["directory"] != "", "output.directory must not be empty")
     check(gr["d"] % fu["n_heads"] == 0, "grid.d must be divisible by fusion.n_heads")
-    check(di["sigma1"] is None or 0.0 <= di["sigma1"] <= 1.0,
-          "direction.sigma1 must lie in [0, 1]")
+    check(0.0 <= di["sigma1"] <= 1.0, "direction.sigma1 must lie in [0, 1]")
     check(di["sigma2"] >= 0.0, "direction.sigma2 must be >= 0")
     check(math.isfinite(fu["qk_scale"]), "fusion.qk_scale must be finite")
     check(lo["sigma"] >= 0.0, "loss.sigma must be >= 0")
     check(lo["tau"] > 0.0, "loss.tau must be positive")
-
-    scenario = None
-    if not errors:
-        try:
-            scenario = ScenarioConfig(
-                seed=sc["seed"], area_side=sc["area_side"],
-                n_collaborators=sc["n_collaborators"], n_vehicles=sc["n_vehicles"],
-                density_profile=sc["density_profile"],
-                sensor_range=sc["sensor_range"], occlusion_enabled=sc["occlusion"],
-                dropout_prob=sc["dropout_prob"])
-        except ValueError as exc:
-            errors.append(f"scenario: {exc}")
     if errors:
         raise ConfigError("\n".join(errors))
 
-    settings = RunSettings(
-        d_channels=gr["d"], n_dir=di["n_dir"], boundaries=di["boundaries"],
-        interest=di["interest_weights"], sigma1=di["sigma1"], sigma2=di["sigma2"],
-        q_max=co["q_max"], q0_mode=co["q0_mode"], tie_break=co["tie_break"],
-        n_heads=fu["n_heads"], d_ff=fu["d_ff"], init_mode=fu["init_mode"],
-        attn_seed=fu["seed"], qk_scale=fu["qk_scale"],
-        conf_threshold=ev["conf_threshold"], loss_sigma=lo["sigma"],
-        lambda_off=lo["lambda_off"], lambda_size=lo["lambda_size"], tau=lo["tau"],
-        iou_thresholds=ev["iou_thresholds"])
-    seeds = ev["seeds"] if ev["seeds"] else (scenario.seed,)
-    return RunConfig(scenario=scenario, settings=settings, grid_h=grid_h,
-                     grid_w=grid_w, cell_size=cell, scorer=co["scorer"],
-                     scorer_hidden=co["hidden"], methods=methods,
-                     seeds=tuple(int(s) for s in seeds), out_dir=ou["directory"],
-                     formats=ou["formats"])
+    fields: dict[str, dict[str, object]] = {part: {} for part in (*_PARTS, "")}
+    for section, keys in SCHEMA.items():
+        for key, (_, _, field, _) in keys.items():
+            part, _, name = field.rpartition(".")
+            fields[part][name] = values[section][key]
+    parts = {}
+    for part, cls in _PARTS.items():
+        try:
+            parts[part] = cls(**fields[part])
+        except ValueError as exc:
+            raise ConfigError(f"{part}: {exc}") from None
+    return RunConfig(**parts, **fields[""])
+
+
+def _format(value) -> str:
+    """One config value as text that parses back to the same value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
+    if isinstance(value, tuple):
+        return ",".join(":".join(map(_format, v)) if isinstance(v, tuple) else _format(v)
+                        for v in value)
+    return str(value)
 
 
 def effective_config_text(config: RunConfig) -> str:
-    """Canonical echo of the merged configuration (audit trail for reports)."""
-    s = config.scenario
-    st = config.settings
-    boundaries = "" if st.boundaries is None else ",".join(
-        f"{lo:g}:{hi:g}" for lo, hi in st.boundaries)
-    sections = {
-        "scenario": {
-            "seed": s.seed, "area_side": f"{s.area_side:g}",
-            "n_collaborators": s.n_collaborators, "n_vehicles": s.n_vehicles,
-            "density_profile": ",".join(f"{w:g}" for w in s.density_profile),
-            "sensor_range": f"{s.sensor_range:g}",
-            "occlusion": str(s.occlusion_enabled).lower(),
-            "dropout_prob": f"{s.dropout_prob:g}",
-        },
-        "grid": {"h": config.grid_h, "w": config.grid_w, "d": st.d_channels,
-                 "cell_size": f"{config.cell_size:g}"},
-        "direction": {
-            "n_dir": st.n_dir, "boundaries": boundaries,
-            "interest_weights": ",".join(f"{w:g}" for w in st.interest),
-            "sigma1": f"{st.effective_sigma1():g}", "sigma2": f"{st.sigma2:g}",
-        },
-        "comms": {"q_max": f"{st.q_max:g}", "q0_mode": st.q0_mode,
-                  "tie_break": st.tie_break, "scorer": config.scorer,
-                  "hidden": config.scorer_hidden},
-        "fusion": {"n_heads": st.n_heads,
-                   "d_ff": st.d_ff if st.d_ff is not None else 2 * st.d_channels,
-                   "init_mode": st.init_mode, "seed": st.attn_seed,
-                   "qk_scale": f"{st.qk_scale:g}"},
-        "loss": {"sigma": f"{st.loss_sigma:g}", "lambda_off": f"{st.lambda_off:g}",
-                 "lambda_size": f"{st.lambda_size:g}", "tau": f"{st.tau:g}"},
-        "eval": {"iou_thresholds": ",".join(f"{t:g}" for t in st.iou_thresholds),
-                 "methods": ",".join(config.methods),
-                 "seeds": ",".join(str(x) for x in config.seeds),
-                 "conf_threshold": f"{st.conf_threshold:g}"},
-        "output": {"directory": config.out_dir,
-                   "formats": ",".join(config.formats)},
-    }
+    """Canonical echo of the merged configuration (audit trail for reports).
+
+    Every key is written with its resolved value, so the text loads back to
+    an equal RunConfig.
+    """
     lines = []
-    for section, keys in sections.items():
+    for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {value}")
+        for key, (_, _, field, _) in keys.items():
+            lines.append(f"{key} = {_format(attrgetter(field)(config))}")
         lines.append("")
     return "\n".join(lines)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .comms import ScorerParams
 from .geometry import RotatedBox, SectorPartition, iou, sector_of
-from .learn import make_train_scene, train_scorer
+from .learn import train_scorer, training_scenes
 from .pipeline import (
     METHODS,
     PipelineResult,
@@ -82,12 +82,12 @@ def pd_average_precision(preds: list[RotatedBox], truths: list[RotatedBox],
                          partition: SectorPartition,
                          iou_threshold: float) -> list[float]:
     """Per-sector AP: objects are assigned to sectors by their center angle."""
-    out = []
-    for sector in range(partition.n_dir):
-        p = [b for b in preds if sector_of(b, partition) == sector]
-        t = [b for b in truths if sector_of(b, partition) == sector]
-        out.append(average_precision(p, t, iou_threshold))
-    return out
+    p = [[] for _ in range(partition.n_dir)]
+    t = [[] for _ in range(partition.n_dir)]
+    for boxes, by_sector in ((preds, p), (truths, t)):
+        for b in boxes:
+            by_sector[sector_of(b, partition)].append(b)
+    return [average_precision(ps, ts, iou_threshold) for ps, ts in zip(p, t)]
 
 
 @dataclass(frozen=True)
@@ -134,23 +134,22 @@ def evaluate_boxes(preds, truths, partition, thresholds):
 
 def run_method(world: ScenarioWorld, method: str, budget: float,
                settings: RunSettings, scorer_params: ScorerParams | None = None,
-               scene=None, loss_sigma: float | None = None) -> SeedResult:
+               scene=None) -> SeedResult:
     """Evaluate one method on one world; scene may be precomputed and shared."""
     if scene is None:
         scene = prepare_scene(world, settings)
     result = run_pipeline(scene, method, budget, settings, scorer_params)
-    return score_result(world, scene, result, budget, settings, loss_sigma)
+    return score_result(world, scene, result, budget, settings)
 
 
 def score_result(world: ScenarioWorld, scene: SceneInputs, result: PipelineResult,
-                 budget: float, settings: RunSettings,
-                 loss_sigma: float | None = None) -> SeedResult:
+                 budget: float, settings: RunSettings) -> SeedResult:
     """Metrics of one finished pipeline run against the world's ground truth."""
     truths = list(world.vehicles)
     ap_at_iou, ap_at_pd = evaluate_boxes(result.boxes, truths, scene.partition,
                                          settings.iou_thresholds)
     return SeedResult(seed=int(world.config.seed), method=result.method, budget=budget,
-                      loss_sigma=settings.loss_sigma if loss_sigma is None else loss_sigma,
+                      loss_sigma=settings.loss_sigma,
                       mask=result.mask.mask, ap_at_iou=ap_at_iou,
                       ap_at_pd_iou=ap_at_pd,
                       bytes_transmitted=result.ledger.total_bytes,
@@ -179,20 +178,15 @@ class SweepResult:
 
 
 def train_sigma_scorers(scenario: ScenarioConfig, settings: RunSettings,
-                        sigmas, budget: float, n_train_scenes: int = 8,
-                        train_seed_base: int | None = None, steps: int = 200,
+                        sigmas, budget: float, steps: int = 200,
                         learning_rate: float = 0.5, hidden: int = 8,
-                        init_seed: int = 0, grid=None) -> dict[float, ScorerParams]:
-    """One trained QC-Net per sigma, on a shared batch of training worlds."""
-    base = (int(scenario.seed) + 100_000) if train_seed_base is None else train_seed_base
-    scenes = []
-    for i in range(n_train_scenes):
-        world = generate(replace(scenario, seed=base + i), grid=grid)
-        scenes.append(make_train_scene(prepare_scene(world, settings)))
+                        grid=None) -> dict[float, ScorerParams]:
+    """One trained QC-Net per sigma, on a shared batch of 8 training worlds."""
+    scenes = training_scenes(scenario, settings, 8, grid)
     out = {}
     for sigma in sigmas:
         sig_settings = replace(settings, loss_sigma=float(sigma))
-        init = ScorerParams.random(hidden, seed=init_seed, scale=0.3)
+        init = ScorerParams.random(hidden, seed=0, scale=0.3)
         result = train_scorer(init, scenes, budget, sig_settings,
                               learning_rate=learning_rate, steps=steps)
         out[float(sigma)] = result.params

@@ -257,8 +257,7 @@ def _clusters(mask: np.ndarray) -> list[list[tuple[int, int]]]:
 _EVIDENCE_WEIGHT_CAP = 0.5
 
 
-def decode(fused: FusedMap, conf_threshold: float,
-           size_shrink: float | None = None) -> list[RotatedBox]:
+def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
     """Cluster above-threshold cells and fit one rotated box per cluster.
 
     Confidence is the logistic of the channel-0 fused evidence. Each cluster
@@ -266,15 +265,13 @@ def decode(fused: FusedMap, conf_threshold: float,
     heading estimate. The moment weights saturate at half evidence: a cell
     confirmed by several agents must not outweigh one the ego alone saw fully,
     otherwise attention-scale tilt across a cluster skews the box estimate.
-    size_shrink compensates the half-cell halo that any-overlap rasterization
-    adds around a vehicle (defaults to one cell).
+    Each size shrinks by one cell, the half-cell halo that any-overlap
+    rasterization adds on either side of a vehicle.
     """
     if not (0.0 < conf_threshold < 1.0):
         raise ValueError("conf_threshold must lie in (0, 1)")
     grid = fused.grid
     cell = grid.cell_size
-    if size_shrink is None:
-        size_shrink = cell
     conf = sigmoid(fused.values[:, :, 0])
     boxes = []
     for cluster in _clusters(conf > conf_threshold):
@@ -294,8 +291,8 @@ def decode(fused: FusedMap, conf_threshold: float,
             axis = eigvecs[:, 1]
             if axis[0] < 0.0 or (axis[0] == 0.0 and axis[1] < 0.0):
                 axis = -axis
-        length = max(math.sqrt(12.0 * lam1) - size_shrink, 0.5 * cell)
-        width = max(math.sqrt(12.0 * lam2) - size_shrink, 0.5 * cell)
+        length = max(math.sqrt(12.0 * lam1) - cell, 0.5 * cell)
+        width = max(math.sqrt(12.0 * lam2) - cell, 0.5 * cell)
         norm = math.hypot(axis[0], axis[1])
         peak = float(max(conf[r, c] for r, c in cluster))
         boxes.append(RotatedBox(peak, float(mu[0]), float(mu[1]), length, width,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from .fusion import AttentionParams, attention_pool, attention_weights
 from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
-from .pipeline import RunSettings, SceneInputs, run_pipeline
+from .pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
+from .scenario import ScenarioConfig, generate
 
 FOCAL_ALPHA = 2.0
 _P_EPS = 1e-7
@@ -196,6 +197,14 @@ def make_train_scene(scene: SceneInputs) -> TrainScene:
     return TrainScene(scene, truth)
 
 
+def training_scenes(scenario: ScenarioConfig, settings: RunSettings, n: int,
+                    grid: GridSpec | None = None) -> list[TrainScene]:
+    """The n training worlds of a scenario, seeded apart from its eval seeds."""
+    base = int(scenario.seed) + 100_000
+    worlds = (generate(replace(scenario, seed=base + i), grid=grid) for i in range(n))
+    return [make_train_scene(prepare_scene(world, settings)) for world in worlds]
+
+
 def _fused_to_pred(fused_values: np.ndarray) -> np.ndarray:
     """Per-cell 7-tuple readout: logistic objectness + raw regression channels."""
     h, w, d = fused_values.shape
@@ -290,9 +299,9 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
 
 
 def hard_path_loss(params: ScorerParams | None, tscene: TrainScene, budget: float,
-                   settings: RunSettings, method: str = "directed") -> float:
-    """DWLoss of the non-differentiable evaluation path, for gap reporting."""
-    result = run_pipeline(tscene.scene, method, budget, settings, params)
+                   settings: RunSettings) -> float:
+    """DWLoss of the non-differentiable directed evaluation path, for gap reporting."""
+    result = run_pipeline(tscene.scene, "directed", budget, settings, params)
     return _objective(result.fused.values, tscene, settings)[0]
 
 

@@ -35,6 +35,8 @@ from .grid import GridSpec
 from .scenario import ScenarioWorld, observe, rsu_observe
 
 METHODS = ("directed", "uniform", "single")
+Q0_MODES = ("ones", "confidence_gap")   # initial query map; see prepare_scene
+INIT_MODES = ("identity", "random")     # attention init; see attention_params
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,11 @@ class RunSettings:
     sigma1: float | None = None          # default: 1 / (2 n_dir)
     sigma2: float = DEFAULT_SIGMA2
     q_max: float = 0.2
-    q0_mode: str = "ones"                # or "confidence_gap"
-    tie_break: str = "per_collaborator"
+    q0_mode: str = "ones"                # one of Q0_MODES
+    tie_break: str = "per_collaborator"  # one of comms.TIE_BREAKS
     n_heads: int = 2
     d_ff: int | None = None
-    init_mode: str = "identity"          # or "random"
+    init_mode: str = "identity"          # one of INIT_MODES
     attn_seed: int = 0
     qk_scale: float = 1.0
     conf_threshold: float = 0.55

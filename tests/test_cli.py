@@ -3,7 +3,7 @@ import pytest
 
 from dircp.cli import main
 from dircp.comms import ScorerParams
-from dircp.config import ConfigError, load_config
+from dircp.config import SCHEMA, ConfigError, effective_config_text, load_config
 
 BASE_CONFIG = """
 [scenario]
@@ -32,13 +32,70 @@ def write_config(tmp_path, name="run.cfg", extra="", out=None):
     return path, out
 
 
+EVERY_KEY_CHANGED = """
+[scenario]
+seed = 9
+area_side = 30
+n_collaborators = 3
+n_vehicles = 5
+density_profile = 0.333333333,1,2
+sensor_range = 12.5
+occlusion = false
+dropout_prob = 0.05
+[grid]
+h = 20
+w = 20
+d = 6
+cell_size = 1.5
+[direction]
+n_dir = 3
+boundaries = 0:100,100:200.5,200.5:360
+interest_weights = 0.333333333,0.7,0.1
+sigma1 = 0.1
+sigma2 = 2.5
+[comms]
+q_max = 0.3
+q0_mode = confidence_gap
+tie_break = global
+scorer = mlp
+hidden = 5
+[fusion]
+n_heads = 3
+d_ff = 7
+init_mode = random
+seed = 4
+qk_scale = 0.5
+[loss]
+sigma = 0.5
+lambda_off = 2
+lambda_size = 0.25
+tau = 0.1
+[eval]
+iou_thresholds = 0.3,0.6
+methods = single,directed
+seeds = 9,11
+conf_threshold = 0.6
+[output]
+directory = elsewhere_100%
+formats = json
+"""
+
+THREE_SECTORS = """
+[scenario]
+seed = 3
+density_profile = 1,1,1
+[direction]
+n_dir = 3
+interest_weights = 0.333333333,0.9,0.1
+"""
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg.scenario.seed == 0
         assert cfg.settings.q_max == 0.2
         assert cfg.settings.loss_sigma == 1.0
-        assert cfg.grid_h == 64 and cfg.grid_w == 64
+        assert cfg.grid.h == 64 and cfg.grid.w == 64
         assert cfg.methods == ("directed", "uniform", "single")
 
     def test_parse_errors_aggregate(self, tmp_path):
@@ -61,6 +118,10 @@ class TestConfig:
         assert "q_max" in text
         assert "conf_threshold" in text
 
+    def test_empty_output_directory_reported(self):
+        with pytest.raises(ConfigError, match="output.directory"):
+            load_config(None, overrides={"output.directory": ""})
+
     def test_unknown_key_reported(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[scenario]\nbogus = 1\n", encoding="utf-8")
@@ -79,6 +140,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="density_profile"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [EVERY_KEY_CHANGED, THREE_SECTORS],
+                             ids=["every_key_changed", "three_sectors"])
+    def test_effective_config_loads_back_to_the_same_run(self, tmp_path, monkeypatch,
+                                                         text):
+        monkeypatch.delenv("DIRCP_SEED", raising=False)
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        cfg = load_config(path)
+        echo = effective_config_text(cfg)
+        path.write_text(echo, encoding="utf-8")
+        again = load_config(path)
+        assert effective_config_text(again) == echo
+        assert again.scenario == cfg.scenario
+        assert again.grid == cfg.grid
+        assert again.settings == cfg.settings
+        assert again.settings.effective_sigma1() == cfg.settings.effective_sigma1()
+        assert again == cfg
+
+    def test_every_key_changed_config_changes_every_key(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("DIRCP_SEED", raising=False)
+        path = tmp_path / "run.cfg"
+        path.write_text(EVERY_KEY_CHANGED, encoding="utf-8")
+        changed = effective_config_text(load_config(path)).split("\n")
+        default = effective_config_text(load_config(None)).split("\n")
+        n_keys = sum(len(keys) for keys in SCHEMA.values())
+        assert sum(a != b for a, b in zip(changed, default)) == n_keys
+
 
 BAD_CONFIG_VALUES = [
     ("fusion.n_heads", "0", ""),
@@ -95,6 +183,9 @@ BAD_CONFIG_VALUES = [
     ("direction.sigma2", "nan", ""),
     ("fusion.qk_scale", "inf", ""),
     ("loss.lambda_off", "nan", ""),
+    ("eval.iou_thresholds", "", ""),
+    ("scenario.n_vehicles", "", ""),
+    ("comms.hidden", "", ""),
 ]
 
 
@@ -119,19 +210,47 @@ BAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("argv,flag", BAD_FLAGS,
-                         ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
-def test_bad_flag_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+def forbid_work(monkeypatch):
     import dircp.cli
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the flags were checked")
+        raise AssertionError("work started before the input was checked")
 
-    for name in ("sweep", "train_sigma_scorers", "train_scorer", "generate"):
+    for name in ("sweep", "train_sigma_scorers", "train_scorer", "training_scenes",
+                 "generate", "prepare_scene", "run_pipeline"):
         monkeypatch.setattr(dircp.cli, name, no_work)
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+def test_bad_flag_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    forbid_work(monkeypatch)
     path, _ = write_config(tmp_path, extra="\n[comms]\nscorer = mlp\nhidden = 4\n")
     assert main([argv[0], str(path), *argv[1:]]) == 2
     assert flag in capsys.readouterr().err
+
+
+NO_COLLABORATORS = "[scenario]\nn_collaborators = 0\n[comms]\nscorer = mlp\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "train"])
+def test_zero_collaborators_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command):
+    forbid_work(monkeypatch)
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    path.write_text(f"{NO_COLLABORATORS}[output]\ndirectory = {out}\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "scenario.n_collaborators" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_collaborators_export_scene(tmp_path):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    path.write_text(f"{NO_COLLABORATORS}[output]\ndirectory = {out}\n", encoding="utf-8")
+    assert main(["export-scene", str(path)]) == 0
+    assert (out / "scene_0.json").exists()
 
 
 class TestCmdRun:
@@ -158,7 +277,6 @@ class TestCmdRun:
     def test_one_pipeline_run_per_method_and_seed(self, tmp_path, monkeypatch):
         import dircp.cli
         from dircp.fusion import attention_trace_csv
-        from dircp.grid import GridSpec
         from dircp.pipeline import prepare_scene
         from dircp.scenario import generate
 
@@ -175,7 +293,7 @@ class TestCmdRun:
         assert calls == ["directed", "uniform", "single"] * 2  # seeds 3 and 4
         # The trace is the first run's, from the same pipeline result.
         cfg = load_config(path)
-        world = generate(cfg.scenario, grid=GridSpec(cfg.grid_h, cfg.grid_w, cfg.cell_size))
+        world = generate(cfg.scenario, grid=cfg.grid)
         pipe = original(prepare_scene(world, cfg.settings), "directed",
                         cfg.settings.q_max, cfg.settings)
         assert (out / "attention_trace.csv").read_text() == attention_trace_csv(pipe.fused)
