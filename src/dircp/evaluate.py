@@ -29,19 +29,16 @@ CONVENTIONS = {
 }
 
 
-def _greedy_match(preds: list[RotatedBox], truths: list[RotatedBox],
+def _greedy_match(preds: list[RotatedBox], ious: np.ndarray,
                   iou_threshold: float) -> list[bool]:
-    """True-positive flags for confidence-sorted predictions."""
+    """True-positive flags for confidence-sorted predictions; ious is (preds, truths)."""
     order = sorted(range(len(preds)), key=lambda i: -preds[i].confidence)
-    matched = [False] * len(truths)
+    matched = [False] * ious.shape[1]
     flags = [False] * len(preds)
     for rank, i in enumerate(order):
         best_iou, best_j = 0.0, -1
-        for j, truth in enumerate(truths):
-            if matched[j]:
-                continue
-            v = iou(preds[i], truth)
-            if v >= iou_threshold and v > best_iou:
+        for j, v in enumerate(ious[i].tolist()):
+            if not matched[j] and v >= iou_threshold and v > best_iou:
                 best_iou, best_j = v, j
         if best_j >= 0:
             matched[best_j] = True
@@ -50,11 +47,12 @@ def _greedy_match(preds: list[RotatedBox], truths: list[RotatedBox],
 
 
 def average_precision(preds: list[RotatedBox], truths: list[RotatedBox],
-                      iou_threshold: float) -> float:
+                      iou_threshold: float, ious: np.ndarray | None = None) -> float:
     """All-point interpolated AP with greedy one-to-one matching.
 
     Conventions: no truths and no predictions scores 1.0 (perfect agreement);
-    predictions against an empty truth set score 0.0.
+    predictions against an empty truth set score 0.0. ious, the (preds,
+    truths) IoU matrix, is computed when not given.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
@@ -62,7 +60,9 @@ def average_precision(preds: list[RotatedBox], truths: list[RotatedBox],
         return 1.0 if not preds else 0.0
     if not preds:
         return 0.0
-    flags = _greedy_match(preds, truths, iou_threshold)
+    if ious is None:
+        ious = np.array([[iou(p, t) for t in truths] for p in preds])
+    flags = _greedy_match(preds, ious, iou_threshold)
     tp = np.cumsum(flags)
     ranks = np.arange(1, len(flags) + 1)
     precision = tp / ranks
@@ -82,12 +82,7 @@ def pd_average_precision(preds: list[RotatedBox], truths: list[RotatedBox],
                          partition: SectorPartition,
                          iou_threshold: float) -> list[float]:
     """Per-sector AP: objects are assigned to sectors by their center angle."""
-    p = [[] for _ in range(partition.n_dir)]
-    t = [[] for _ in range(partition.n_dir)]
-    for boxes, by_sector in ((preds, p), (truths, t)):
-        for b in boxes:
-            by_sector[sector_of(b, partition)].append(b)
-    return [average_precision(ps, ts, iou_threshold) for ps, ts in zip(p, t)]
+    return list(evaluate_boxes(preds, truths, partition, (iou_threshold,))[1][iou_threshold])
 
 
 @dataclass(frozen=True)
@@ -126,8 +121,15 @@ class SeedResult:
 
 
 def evaluate_boxes(preds, truths, partition, thresholds):
-    ap_at_iou = {t: average_precision(preds, truths, t) for t in thresholds}
-    ap_at_pd = {t: tuple(pd_average_precision(preds, truths, partition, t))
+    """AP and per-sector AP at each IoU threshold, from one IoU per (pred, truth)."""
+    ious = np.reshape([[iou(p, t) for t in truths] for p in preds], (len(preds), len(truths)))
+    sector = [np.array([sector_of(b, partition) for b in boxes], dtype=int)
+              for boxes in (preds, truths)]
+    by_sector = [[np.flatnonzero(side == s) for side in sector]
+                 for s in range(partition.n_dir)]
+    ap_at_iou = {t: average_precision(preds, truths, t, ious) for t in thresholds}
+    ap_at_pd = {t: tuple(average_precision([preds[k] for k in i], [truths[k] for k in j],
+                                           t, ious[np.ix_(i, j)]) for i, j in by_sector)
                 for t in thresholds}
     return ap_at_iou, ap_at_pd
 

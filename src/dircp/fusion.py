@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comms import QueryConfidenceMap, ShapeMismatch
-from .features import BevFeatureMap, SparseFeatureMap, densify
+from .features import BevFeatureMap, SparseFeatureMap
 from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import canonical_sum, sigmoid
@@ -130,27 +130,35 @@ class FusedMap:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("fused values must be finite")
-        if np.any(self.attention_trace < 0.0):
-            raise ValueError("attention trace weights must be non-negative")
+        if not np.all(np.isfinite(self.attention_trace) & (self.attention_trace >= 0.0)):
+            raise ValueError("attention trace weights must be finite and non-negative")
 
 
-def _stack_agents(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
-    """(N, H, W, D) agent feature tensor and (N, H, W) presence mask."""
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """Flat indices of the True cells; a lone one is repeated, as matmul would
+    take one row down another BLAS path (gemv) that rounds apart."""
+    idx = np.flatnonzero(mask)
+    return idx.repeat(2) if idx.size == 1 else idx
+
+
+def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
+    """Presence (H*W, N) on the grid, the _rows of the cells where any
+    collaborator's map landed, and the agents' features (N, 1, M, D) there."""
     h, w = ego.grid.shape
-    d = ego.d
-    n = 1 + len(received)
-    feats = np.zeros((n, h, w, d), dtype=np.float64)
-    present = np.zeros((n, h, w), dtype=bool)
-    feats[0] = ego.values
-    present[0] = True
+    parts = [np.zeros((1, ego.d)), ego.values.reshape(h * w, ego.d)]
+    entry = np.zeros((h * w, 1 + len(received)), dtype=np.intp)  # row in parts, 0 if absent
+    entry[:, 0] = np.arange(1, h * w + 1)
     for j, sparse in enumerate(received, start=1):
         if sparse is None:
             continue
-        if sparse.shape != (h, w, d):
-            raise ShapeMismatch(f"received map {j} shape {sparse.shape} != {(h, w, d)}")
-        feats[j] = densify(sparse)
-        present[j, sparse.rows, sparse.cols] = True
-    return feats, present
+        if sparse.shape != (h, w, ego.d):
+            raise ShapeMismatch(f"received map {j} shape {sparse.shape} != {(h, w, ego.d)}")
+        start = sum(map(len, parts))
+        entry[sparse.rows * w + sparse.cols, j] = np.arange(start, start + len(sparse.rows))
+        parts.append(sparse.values)
+    present = entry > 0
+    cells = _rows(present[:, 1:].any(axis=1))
+    return present, cells, np.concatenate(parts)[entry[cells].T][:, None]
 
 
 def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
@@ -202,55 +210,69 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     are the head-averaged softmax scores (over agents present at the cell)
     multiplied by the collaborator's query confidence. Sums over agents run in
     canonical order, so no weight depends on the order of the agents.
+
+    The kernel runs only on the cells where a collaborator's map landed,
+    gathered as (N, 1, M, D); elsewhere the ego is alone, so pre_qcm and the
+    weights are [1.0, 0.0, ...] and present is [True, False, ...] there.
     """
     h, w = ego.grid.shape
     if qcm.values.shape[:2] != (h, w) or qcm.n_collaborators != len(received):
         raise ShapeMismatch("QCM shape disagrees with ego grid / received list")
     if params.d != ego.d:
         raise ShapeMismatch("attention params width disagrees with features")
-    feats, present = _stack_agents(ego, received)
-    values, pre, *_ = attention_weights(ego.values, feats, present, qcm.values,
-                                        params, canonical_sum)
-    return DsaWeights(values=np.moveaxis(values, 0, 2),
-                      pre_qcm=np.moveaxis(pre, 0, 2),
-                      present=np.moveaxis(present, 0, 2))
+    present, cells, feats = _gather(ego, received)
+    conf = qcm.values.reshape(h * w, len(received))
+    _, pre_at, *_ = attention_weights(feats[0], feats, present[cells].T[:, None],
+                                      conf[None, cells], params, canonical_sum)
+    pre = np.tile(np.eye(1, len(feats)), (h * w, 1))
+    pre[cells] = pre_at[:, 0].T
+    values = np.concatenate([pre[:, :1], pre[:, 1:] * conf], axis=1)
+    return DsaWeights(*(a.reshape(h, w, -1) for a in (values, pre, present)))
 
 
 def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
          weights: DsaWeights, params: AttentionParams) -> FusedMap:
-    """Weighted agent fusion followed by the residual feed-forward block."""
-    feats, _ = _stack_agents(ego, received)
-    n, h, w, d = feats.shape
-    if weights.values.shape != (h, w, n):
+    """Weighted agent fusion followed by the residual feed-forward block.
+
+    attention_pool runs on the cells where a collaborator's map landed,
+    gathered as (N, 1, M, D), and elsewhere on the ego alone: the sorted sum
+    starts from +0.0 and the others' values are zero there, so either way it
+    pools to ego_value * w_ego + 0.0 (an ego -0.0 becomes +0.0).
+    """
+    h, w = ego.grid.shape
+    present, cells, feats = _gather(ego, received)
+    if weights.values.shape != (h, w, len(feats)):
         raise ShapeMismatch("weights shape disagrees with agents")
-    out, _, _ = attention_pool(feats, np.moveaxis(weights.values, 2, 0), params,
-                               canonical_sum)
-    return FusedMap(grid=ego.grid, values=out, attention_trace=weights.values)
+    flat = weights.values.reshape(h * w, -1)
+    out = np.empty((h * w, ego.d))
+    out[cells] = attention_pool(feats, flat[cells].T[:, None], params, canonical_sum)[0][0]
+    alone = _rows(~present[:, 1:].any(axis=1))
+    out[alone] = attention_pool(ego.values.reshape(h * w, ego.d)[alone][None, None],
+                                flat[alone, :1].T[:, None], params, canonical_sum)[0][0]
+    return FusedMap(ego.grid, out.reshape(h, w, ego.d), weights.values)
 
 
 def _clusters(mask: np.ndarray) -> list[list[tuple[int, int]]]:
-    """8-connected components of True cells, in row-major discovery order."""
+    """8-connected components of True cells, in row-major discovery order, each
+    grown breadth-first from its first cell; decode's sums follow that order."""
     h, w = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
+    seeds = np.flatnonzero(mask).tolist()
+    unseen = set(seeds)
     out = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if not mask[r0, c0] or seen[r0, c0]:
-                continue
-            queue = deque([(r0, c0)])
-            seen[r0, c0] = True
-            cluster = []
-            while queue:
-                r, c = queue.popleft()
-                cluster.append((r, c))
-                for dr in (-1, 0, 1):
-                    for dc in (-1, 0, 1):
-                        rr, cc = r + dr, c + dc
-                        if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] \
-                                and not seen[rr, cc]:
-                            seen[rr, cc] = True
-                            queue.append((rr, cc))
-            out.append(cluster)
+    for seed in (s for s in seeds if s in unseen):
+        unseen.remove(seed)
+        queue = deque([divmod(seed, w)])
+        cluster = []
+        while queue:
+            r, c = queue.popleft()
+            cluster.append((r, c))
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w and rr * w + cc in unseen:
+                        unseen.remove(rr * w + cc)
+                        queue.append((rr, cc))
+        out.append(cluster)
     return out
 
 
@@ -275,9 +297,9 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
     conf = sigmoid(fused.values[:, :, 0])
     boxes = []
     for cluster in _clusters(conf > conf_threshold):
-        pts = np.array([grid.center_of(r, c) for r, c in cluster])
-        wts = np.array([min(max(fused.values[r, c, 0], 1e-6), _EVIDENCE_WEIGHT_CAP)
-                        for r, c in cluster])
+        rr, cc = np.array(cluster).T
+        pts = grid.centers[rr, cc]
+        wts = np.minimum(np.maximum(fused.values[rr, cc, 0], 1e-6), _EVIDENCE_WEIGHT_CAP)
         total = wts.sum()
         mu = (pts * wts[:, None]).sum(axis=0) / total
         centered = pts - mu
@@ -294,7 +316,7 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
         length = max(math.sqrt(12.0 * lam1) - cell, 0.5 * cell)
         width = max(math.sqrt(12.0 * lam2) - cell, 0.5 * cell)
         norm = math.hypot(axis[0], axis[1])
-        peak = float(max(conf[r, c] for r, c in cluster))
+        peak = float(conf[rr, cc].max())
         boxes.append(RotatedBox(peak, float(mu[0]), float(mu[1]), length, width,
                                 float(axis[0] / norm), float(axis[1] / norm)))
     boxes.sort(key=lambda b: -b.confidence)

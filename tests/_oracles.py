@@ -2,27 +2,34 @@
 
 These deliberately avoid the library's own code paths (polygon clipping,
 vectorized scoring and occlusion, analytic gradients, the array wire codec,
-the shared attention kernel) so they can serve as oracles.
+the shared attention kernel) so they can serve as oracles. The exception is
+dense_dsa_weights/dense_fuse: they run the shared kernel on every cell of the
+grid, the reference that the gathered production path must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 
 import numpy as np
 
 from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
+from dircp.features import densify
+from dircp.fusion import DsaWeights, FusedMap, attention_pool, attention_weights
 from dircp.geometry import (
     RotatedBox,
     SectorPartition,
     _clip_polygon,
     _polygon_area,
     box_corners,
+    iou,
+    sector_of,
     sector_of_point,
 )
 from dircp.grid import GridSpec
-from dircp.num import canonical_sum
+from dircp.num import canonical_sum, sigmoid
 from dircp.scenario import ScenarioConfig, cell_dropout_uniforms
 
 
@@ -306,3 +313,144 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
             d_c[:, :, j] += dc_flat.reshape(h, w)
 
     return loss, score_mlp_backward(mlp_cache, d_c), parts["total"]
+
+
+def stack_agents(ego, received):
+    """(N, H, W, D) agent features and (N, H, W) presence over the full grid."""
+    h, w = ego.grid.shape
+    n = 1 + len(received)
+    feats = np.zeros((n, h, w, ego.d), dtype=np.float64)
+    present = np.zeros((n, h, w), dtype=bool)
+    feats[0] = ego.values
+    present[0] = True
+    for j, sparse in enumerate(received, start=1):
+        if sparse is not None:
+            feats[j] = densify(sparse)
+            present[j, sparse.rows, sparse.cols] = True
+    return feats, present
+
+
+def dense_dsa_weights(ego, received, qcm, params):
+    """dsa_weights with the attention kernel run on every cell of the grid."""
+    feats, present = stack_agents(ego, received)
+    values, pre, *_ = attention_weights(ego.values, feats, present, qcm.values,
+                                        params, canonical_sum)
+    return DsaWeights(values=np.moveaxis(values, 0, 2), pre_qcm=np.moveaxis(pre, 0, 2),
+                      present=np.moveaxis(present, 0, 2))
+
+
+def dense_fuse(ego, received, weights, params):
+    """fuse with the pooling kernel run on every cell of the grid."""
+    feats, _ = stack_agents(ego, received)
+    out, _, _ = attention_pool(feats, np.moveaxis(weights.values, 2, 0), params,
+                               canonical_sum)
+    return FusedMap(grid=ego.grid, values=out, attention_trace=weights.values)
+
+
+def clusters_full_scan(mask):
+    """8-connected components, seeded by a scan over every cell in row-major order."""
+    h, w = mask.shape
+    seen = np.zeros_like(mask, dtype=bool)
+    out = []
+    for r0 in range(h):
+        for c0 in range(w):
+            if not mask[r0, c0] or seen[r0, c0]:
+                continue
+            queue = deque([(r0, c0)])
+            seen[r0, c0] = True
+            cluster = []
+            while queue:
+                r, c = queue.popleft()
+                cluster.append((r, c))
+                for dr in (-1, 0, 1):
+                    for dc in (-1, 0, 1):
+                        rr, cc = r + dr, c + dc
+                        if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] \
+                                and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            queue.append((rr, cc))
+            out.append(cluster)
+    return out
+
+
+def decode_per_cell(fused, conf_threshold, cap=0.5):
+    """fusion.decode with the cluster points, weights and peak read one cell at a time."""
+    grid = fused.grid
+    cell = grid.cell_size
+    conf = sigmoid(fused.values[:, :, 0])
+    boxes = []
+    for cluster in clusters_full_scan(conf > conf_threshold):
+        pts = np.array([grid.center_of(r, c) for r, c in cluster])
+        wts = np.array([min(max(fused.values[r, c, 0], 1e-6), cap) for r, c in cluster])
+        total = wts.sum()
+        mu = (pts * wts[:, None]).sum(axis=0) / total
+        centered = pts - mu
+        cov = (centered.T * wts) @ centered / total
+        cov += (cell * cell / 12.0) * np.eye(2)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        lam2, lam1 = float(eigvals[0]), float(eigvals[1])
+        if lam1 - lam2 < 1e-12:
+            axis = np.array([1.0, 0.0])
+        else:
+            axis = eigvecs[:, 1]
+            if axis[0] < 0.0 or (axis[0] == 0.0 and axis[1] < 0.0):
+                axis = -axis
+        length = max(math.sqrt(12.0 * lam1) - cell, 0.5 * cell)
+        width = max(math.sqrt(12.0 * lam2) - cell, 0.5 * cell)
+        norm = math.hypot(axis[0], axis[1])
+        peak = float(max(conf[r, c] for r, c in cluster))
+        boxes.append(RotatedBox(peak, float(mu[0]), float(mu[1]), length, width,
+                                float(axis[0] / norm), float(axis[1] / norm)))
+    boxes.sort(key=lambda b: -b.confidence)
+    return boxes
+
+
+def _greedy_match_per_call(preds, truths, iou_threshold):
+    order = sorted(range(len(preds)), key=lambda i: -preds[i].confidence)
+    matched = [False] * len(truths)
+    flags = [False] * len(preds)
+    for rank, i in enumerate(order):
+        best_iou, best_j = 0.0, -1
+        for j, truth in enumerate(truths):
+            if matched[j]:
+                continue
+            v = iou(preds[i], truth)
+            if v >= iou_threshold and v > best_iou:
+                best_iou, best_j = v, j
+        if best_j >= 0:
+            matched[best_j] = True
+            flags[rank] = True
+    return flags
+
+
+def average_precision_per_call(preds, truths, iou_threshold):
+    """All-point interpolated AP, calling iou for each pair the matching visits."""
+    if not truths:
+        return 1.0 if not preds else 0.0
+    if not preds:
+        return 0.0
+    flags = _greedy_match_per_call(preds, truths, iou_threshold)
+    tp = np.cumsum(flags)
+    precision = tp / np.arange(1, len(flags) + 1)
+    recall = tp / len(truths)
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for p, r in zip(env, recall):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def evaluate_boxes_per_call(preds, truths, partition, thresholds):
+    """evaluate.evaluate_boxes with the IoUs recomputed per threshold and sector."""
+    p = [[] for _ in range(partition.n_dir)]
+    t = [[] for _ in range(partition.n_dir)]
+    for boxes, by_sector in ((preds, p), (truths, t)):
+        for b in boxes:
+            by_sector[sector_of(b, partition)].append(b)
+    ap_at_iou = {th: average_precision_per_call(preds, truths, th) for th in thresholds}
+    ap_at_pd = {th: tuple(average_precision_per_call(ps, ts, th) for ps, ts in zip(p, t))
+                for th in thresholds}
+    return ap_at_iou, ap_at_pd

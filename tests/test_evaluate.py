@@ -4,6 +4,7 @@ import pytest
 from dircp.evaluate import (
     SeedResult,
     average_precision,
+    evaluate_boxes,
     pd_average_precision,
     run_method,
     spearman,
@@ -11,11 +12,11 @@ from dircp.evaluate import (
     worker_count,
 )
 from dircp.geometry import RotatedBox, SectorPartition, sector_of
-from dircp.pipeline import RunSettings, prepare_scene
+from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
 from dircp.report import budget_curve_svg, per_seed_csv, sweep_csv, sweep_json
 from dircp.scenario import ScenarioConfig, generate
 
-from _oracles import random_box
+from _oracles import evaluate_boxes_per_call, random_box
 
 
 def box_at(x, y, conf=1.0, length=4.0, width=2.0):
@@ -98,6 +99,35 @@ class TestPdAveragePrecision:
             p = [b for b in preds if sector_of(b, part) == sector]
             t = [b for b in truths if sector_of(b, part) == sector]
             assert per[sector] == average_precision(p, t, 0.5)
+
+
+class TestEvaluateBoxes:
+    THRESHOLDS = (0.3, 0.5, 0.7)
+
+    def test_matches_per_call_iou_oracle_on_random_boxes(self):
+        rng = np.random.default_rng(8)
+        part = SectorPartition.uniform(4, frame_origin=(0.5, -0.5))
+        for trial in range(25):
+            truths = [random_box(rng, span=12.0) for _ in range(int(rng.integers(0, 9)))]
+            preds = [RotatedBox(float(rng.choice([0.5, 0.7, 0.9])), t.cx + rng.normal(0, 0.4),
+                                t.cy + rng.normal(0, 0.4), t.length, t.width,
+                                t.cos_a, t.sin_a) for t in truths if rng.uniform() < 0.8]
+            preds += [random_box(rng, span=12.0, confidence=float(rng.uniform(0.2, 1)))
+                      for _ in range(int(rng.integers(0, 4)))]
+            assert evaluate_boxes(preds, truths, part, self.THRESHOLDS) == \
+                evaluate_boxes_per_call(preds, truths, part, self.THRESHOLDS)
+
+    @pytest.mark.parametrize("budget", [0.02, 0.2, 0.5])
+    def test_matches_per_call_iou_oracle_on_pipeline_boxes(self, budget):
+        settings = RunSettings()
+        for seed in (1, 2):
+            world = generate(ScenarioConfig(seed=seed))
+            scene = prepare_scene(world, settings)
+            preds = run_pipeline(scene, "directed", budget, settings).boxes
+            truths = list(world.vehicles)
+            assert preds and truths
+            assert evaluate_boxes(preds, truths, scene.partition, self.THRESHOLDS) == \
+                evaluate_boxes_per_call(preds, truths, scene.partition, self.THRESHOLDS)
 
 
 def eval_config(seed=0, **kw):

@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from dircp.comms import QueryConfidenceMap, ShapeMismatch
+from dircp.comms import (
+    QueryConfidenceMap,
+    ShapeMismatch,
+    build_message,
+    deserialize,
+    message_to_sparse,
+    serialize,
+)
 from dircp.features import BevFeatureMap, SparseFeatureMap
 from dircp.fusion import (
     AttentionParams,
+    DsaWeights,
     FusedMap,
+    _clusters,
     attention_pool,
     attention_trace_csv,
     attention_weights,
@@ -17,8 +26,14 @@ from dircp.fusion import (
 )
 from dircp.grid import GridSpec
 from dircp.num import canonical_sum
+from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
+from dircp.scenario import ScenarioConfig, generate
 
 from _oracles import (
+    clusters_full_scan,
+    decode_per_cell,
+    dense_dsa_weights,
+    dense_fuse,
     hard_attention_pool,
     hard_attention_weights,
     soft_attention_pool,
@@ -178,6 +193,126 @@ class TestFuse:
             assert np.array_equal(w_p.values[:, :, out_ch + 1], w.values[:, :, src + 1])
 
 
+def same_bytes(a, b):
+    """Equal shape, dtype and bytes: unlike np.array_equal, tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_matches_dense(ego, received, qcm, params):
+    """dsa_weights and fuse equal the kernel run over the full grid, bit for bit."""
+    got = dsa_weights(ego, received, qcm, params)
+    ref = dense_dsa_weights(ego, received, qcm, params)
+    for name in ("values", "pre_qcm", "present"):
+        assert same_bytes(getattr(got, name), getattr(ref, name)), name
+    fused = fuse(ego, received, got, params)
+    ref_fused = dense_fuse(ego, received, ref, params)
+    assert same_bytes(fused.values, ref_fused.values)
+    assert same_bytes(fused.attention_trace, ref_fused.attention_trace)
+    return fused
+
+
+def random_received(rng, dense_shape, n_collab, p_cell):
+    h, w, d = dense_shape
+    out = []
+    for _ in range(n_collab):
+        cells = [(r, c) for r in range(h) for c in range(w) if rng.uniform() < p_cell]
+        out.append(sparse_from_dense(rng.normal(size=dense_shape), cells) if cells
+                   else None)
+    return out
+
+
+PARAMS = [AttentionParams.identity(8), AttentionParams.random(8, seed=21),
+          AttentionParams.random(8, n_heads=4, seed=22)]
+
+
+class TestGatherMatchesDense:
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_all_none_received(self, params):
+        rng = np.random.default_rng(40)
+        ego = BevFeatureMap(GridSpec(7, 5, 1.0), rng.normal(size=(7, 5, 8)))
+        fused = assert_matches_dense(ego, [None] * 3,
+                                     qcm_of(rng.uniform(0, 1, (7, 5, 3))), params)
+        assert fused.values.shape == (7, 5, 8)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_ego_only_heavy_maps(self, params):
+        rng = np.random.default_rng(41)
+        for n_collab in (1, 4, 8, 12):
+            ego = BevFeatureMap(GridSpec(12, 10, 1.0), rng.normal(size=(12, 10, 8)))
+            received = random_received(rng, (12, 10, 8), n_collab, 0.03)
+            assert_matches_dense(ego, received,
+                                 qcm_of(rng.uniform(0, 1, (12, 10, n_collab))), params)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_one_cell_shared_by_many_agents(self, params):
+        # One gathered cell: a lone row takes another BLAS path through matmul,
+        # and with 9+ agents np.sum over the agent axis alone sums pairwise.
+        rng = np.random.default_rng(42)
+        for n_collab in (8, 11, 16):
+            ego = BevFeatureMap(GridSpec(6, 6, 1.0), rng.normal(size=(6, 6, 8)))
+            received = [sparse_from_dense(rng.normal(size=(6, 6, 8)), [(2, 3)])
+                        for _ in range(n_collab)]
+            assert_matches_dense(ego, received,
+                                 qcm_of(rng.uniform(0, 1, (6, 6, n_collab))), params)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_every_cell_or_all_but_one_landed(self, params):
+        rng = np.random.default_rng(48)
+        ego = BevFeatureMap(GridSpec(5, 4, 1.0), rng.normal(size=(5, 4, 8)))
+        every = [(r, c) for r in range(5) for c in range(4)]
+        for cells in (every, every[:7] + every[8:]):
+            received = [sparse_from_dense(rng.normal(size=(5, 4, 8)), cells), None]
+            assert_matches_dense(ego, received, qcm_of(rng.uniform(0, 1, (5, 4, 2))),
+                                 params)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_negative_zero_ego_row(self, params):
+        rng = np.random.default_rng(43)
+        values = rng.normal(size=(6, 6, 8))
+        values[2] = -0.0
+        values[4, :, 0] = -0.0
+        ego = BevFeatureMap(GridSpec(6, 6, 1.0), values)
+        received = random_received(rng, (6, 6, 8), 3, 0.25)
+        received[0] = sparse_from_dense(rng.normal(size=(6, 6, 8)), [(2, 0), (4, 1)])
+        assert_matches_dense(ego, received, qcm_of(rng.uniform(0, 1, (6, 6, 3))), params)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_fuse_with_ego_weight_not_one(self, params):
+        rng = np.random.default_rng(44)
+        ego_values = rng.normal(size=(8, 8, 8))
+        ego_values[1] = -0.0
+        ego = BevFeatureMap(GridSpec(8, 8, 1.0), ego_values)
+        received = random_received(rng, (8, 8, 8), 4, 0.1)
+        wv = rng.uniform(0.0, 2.0, (8, 8, 5))
+        wv[rng.uniform(size=wv.shape) < 0.3] = 0.0
+        wv[3, :, 0] = 0.0
+        weights = DsaWeights(values=wv, pre_qcm=wv, present=np.ones(wv.shape, dtype=bool))
+        got = fuse(ego, received, weights, params)
+        ref = dense_fuse(ego, received, weights, params)
+        assert same_bytes(got.values, ref.values)
+        assert same_bytes(got.attention_trace, ref.attention_trace)
+
+    @pytest.mark.parametrize("world", [{}, dict(n_vehicles=24, n_collaborators=8,
+                                                density_profile=(0.4, 0.4, 0.1, 0.1))])
+    def test_real_scenes(self, world):
+        settings = RunSettings()
+        scene = prepare_scene(generate(ScenarioConfig(seed=3, **world)), settings)
+        shape = (scene.grid.h, scene.grid.w, settings.d_channels)
+        for budget in (0.02, 0.1, 0.2, 0.5):
+            result = run_pipeline(scene, "directed", budget, settings)
+            received = [
+                message_to_sparse(deserialize(serialize(build_message(
+                    result.query, scene.collaborator_map(k), sender=k + 1))), shape)
+                if result.query.bits[:, :, k].any() else None
+                for k in range(scene.n_collaborators)]
+            fused = assert_matches_dense(scene.ego_map(), received, result.qcm,
+                                         settings.attention_params())
+            assert same_bytes(fused.values, result.fused.values)
+            got = [repr(b.as_tuple()) for b in decode(fused, settings.conf_threshold)]
+            ref = decode_per_cell(fused, settings.conf_threshold)
+            assert got == [repr(b.as_tuple()) for b in ref] and got
+
+
 def kernel_inputs(rng, trial):
     """Seeded kernel inputs: 2-9 agents, 1-4 heads, identity or random params."""
     n = int(rng.integers(2, 10))
@@ -304,6 +439,25 @@ class TestDecode:
         fused = fused_evidence(grid, 0.0, [])
         with pytest.raises(ValueError):
             decode(fused, 0.0)
+
+
+class TestClusters:
+    def test_matches_full_scan_order(self):
+        rng = np.random.default_rng(47)
+        for trial in range(60):
+            h, w = (int(v) for v in rng.integers(1, 25, 2))
+            mask = rng.uniform(size=(h, w)) < rng.uniform(0.0, 0.7)
+            assert _clusters(mask) == clusters_full_scan(mask)
+
+
+class TestFusedMapChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9])
+    def test_trace_weight_not_finite_or_negative_rejected(self, bad):
+        trace = np.zeros((2, 2, 2))
+        trace[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="attention trace"):
+            FusedMap(grid=GridSpec(2, 2, 1.0), values=np.zeros((2, 2, 4)),
+                     attention_trace=trace)
 
 
 class TestTraceCsv:
