@@ -324,11 +324,18 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
 
 
 def attention_trace_csv(fused: FusedMap) -> str:
-    """CSV dump of the attention trace: row, col, agent, weight."""
-    lines = ["row,col,agent,weight"]
-    h, w, n = fused.attention_trace.shape
-    for r in range(h):
-        for c in range(w):
-            for a in range(n):
-                lines.append(f"{r},{c},{a},{fused.attention_trace[r, c, a]!r}")
-    return "\n".join(lines) + "\n"
+    """CSV dump of the attention trace: row, col, agent, weight.
+
+    numpy's repr runs once per distinct bit pattern (-0.0 and 0.0 stay apart).
+    """
+    trace = fused.attention_trace
+    h, w, n = trace.shape
+    distinct, index = np.unique(trace.view(f"u{trace.itemsize}").ravel(),
+                                return_inverse=True)
+    texts = np.array([repr(x) for x in distinct.view(trace.dtype)], dtype=object)
+    parts = np.empty((h * w, n, 3), dtype=object)
+    parts[:, :, 0] = np.array([f"\n{r},{c}," for r in range(h) for c in range(w)],
+                              dtype=object)[:, None]
+    parts[:, :, 1] = [f"{a}," for a in range(n)]
+    parts[:, :, 2] = texts[index.reshape(h * w, n)]
+    return "row,col,agent,weight" + "".join(parts.ravel().tolist()) + "\n"

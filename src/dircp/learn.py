@@ -28,7 +28,7 @@ from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
 from .pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
-from .scenario import ScenarioConfig, generate
+from .scenario import ScenarioConfig, _footprint_cells, generate
 
 FOCAL_ALPHA = 2.0
 _P_EPS = 1e-7
@@ -53,8 +53,6 @@ def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
     center cells are recognizable downstream by a positive size channel.
     Headings are canonicalized to cos >= 0.
     """
-    from .scenario import _footprint_cells
-
     out = np.zeros((grid.h, grid.w, 7), dtype=np.float64)
     if footprints is None:
         footprints = [_footprint_cells(box, grid) for box in boxes]

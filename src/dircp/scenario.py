@@ -117,18 +117,34 @@ def cell_dropout_uniforms(seed: int, agent_index: int, h: int, w: int) -> np.nda
 
 
 def _footprint_cells(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
-    """Cells whose squares overlap the box with positive area."""
+    """Cells whose squares overlap the box with positive area.
+
+    depth is the shortest overlap (negative: the widest gap) of the cell's and
+    the box's projections on the cell axes and the box's heading and normal.
+    Above 1e-5 m the shared area is of order depth^2, far above 1e-12, so the
+    cell is kept; below -1e-5 m it is dropped; the rest go through the clip.
+    """
     xs, ys = zip(*box_corners(box))
     r0, c0 = grid.cell_of(min(xs), min(ys))
     r1, c1 = grid.cell_of(max(xs), max(ys))
-    cells = []
-    for r in range(max(r0, 0), min(r1, grid.h - 1) + 1):
-        for c in range(max(c0, 0), min(c1, grid.w - 1) + 1):
-            cx, cy = grid.center_of(r, c)
-            cell_box = RotatedBox(1.0, cx, cy, grid.cell_size, grid.cell_size, 1.0, 0.0)
-            if intersection_area(box, cell_box) > 1e-12:
-                cells.append((r, c))
-    return cells
+    rows, cols = np.reshape(np.meshgrid(np.arange(max(r0, 0), min(r1, grid.h - 1) + 1),
+                                        np.arange(max(c0, 0), min(c1, grid.w - 1) + 1),
+                                        indexing="ij"), (2, -1))
+    dx, dy = np.moveaxis(grid.centers[rows, cols] - (box.cx, box.cy), -1, 0)
+    c, s = box.cos_a, box.sin_a
+    hl, hw, hc = 0.5 * box.length, 0.5 * box.width, 0.5 * grid.cell_size
+    reach = hc * (abs(c) + abs(s))  # the cell's half-extent along heading and normal
+    depth = np.minimum.reduce([hl * abs(c) + hw * abs(s) + hc - np.abs(dx),
+                               hl * abs(s) + hw * abs(c) + hc - np.abs(dy),
+                               hl + reach - np.abs(dx * c + dy * s),
+                               hw + reach - np.abs(dy * c - dx * s)])
+    depth = np.minimum(depth, 2.0 * min(hl, hw, hc))  # one projection inside the other
+    keep = depth > 1e-5
+    for i in np.flatnonzero(np.abs(depth) <= 1e-5).tolist():
+        cx, cy = grid.center_of(int(rows[i]), int(cols[i]))
+        cell_box = RotatedBox(1.0, cx, cy, grid.cell_size, grid.cell_size, 1.0, 0.0)
+        keep[i] = intersection_area(box, cell_box) > 1e-12
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def _box_arrays(boxes) -> np.ndarray:
@@ -235,25 +251,23 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
 def _observe_grid(config: ScenarioConfig, grid: GridSpec, vehicles, vehicle_cells,
                   pos: tuple[float, float], agent_index: int) -> np.ndarray:
     evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
-    range_sq = config.sensor_range ** 2
-    boxes = _box_arrays(vehicles)
-    for vi, cells in enumerate(vehicle_cells):
-        if not cells:
-            continue
-        rows, cols = np.array(cells).T
-        centers = grid.centers[rows, cols]
-        visible = ((centers[:, 0] - pos[0]) ** 2 + (centers[:, 1] - pos[1]) ** 2) <= range_sq
-        if config.occlusion_enabled and visible.any():
-            # One call per target vehicle keeps the temporaries at
-            # n_vehicles x one footprint.
-            blocked = _segments_blocked(pos, centers, boxes)
-            blocked[vi] = False
-            visible &= ~blocked.any(axis=0)
-        evidence[rows[visible], cols[visible]] = 1
+    rows, cols = np.array([rc for cells in vehicle_cells for rc in cells],
+                          dtype=np.intp).reshape(-1, 2).T
+    owner = np.repeat(np.arange(len(vehicle_cells)), [len(cells) for cells in vehicle_cells])
+    centers = grid.centers[rows, cols]
+    visible = ((centers - pos) ** 2).sum(axis=1) <= config.sensor_range ** 2
+    rows, cols, owner, centers = rows[visible], cols[visible], owner[visible], centers[visible]
+    if config.occlusion_enabled and rows.size:
+        # One call over every in-range footprint cell: its temporaries are
+        # n_vehicles x the in-range cells. A vehicle's own box does not block it.
+        blocked = _segments_blocked(pos, centers, _box_arrays(vehicles))
+        blocked[owner, np.arange(owner.size)] = False
+        seen = ~blocked.any(axis=0)
+        rows, cols = rows[seen], cols[seen]
+    evidence[rows, cols] = 1
     if config.dropout_prob > 0.0:
-        keep = cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w) \
-            >= config.dropout_prob
-        evidence = (evidence.astype(bool) & keep).astype(np.uint8)
+        evidence[cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w)
+                 < config.dropout_prob] = 0
     return evidence
 
 

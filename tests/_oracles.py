@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own code paths (polygon clipping,
 vectorized scoring and occlusion, analytic gradients, the array wire codec,
-the shared attention kernel) so they can serve as oracles. The exception is
-dense_dsa_weights/dense_fuse: they run the shared kernel on every cell of the
-grid, the reference that the gathered production path must match bit for bit.
+the shared attention kernel) so they can serve as oracles. The exceptions are
+the former production code kept as bit-for-bit references for its batched
+replacement: dense_dsa_weights/dense_fuse run the shared kernel on every cell
+of the grid, footprint_cells_per_cell clips one cell at a time, and
+observe_grid_per_vehicle runs the segment test once per target vehicle.
 """
 
 from __future__ import annotations
@@ -24,13 +26,19 @@ from dircp.geometry import (
     _clip_polygon,
     _polygon_area,
     box_corners,
+    intersection_area,
     iou,
     sector_of,
     sector_of_point,
 )
 from dircp.grid import GridSpec
 from dircp.num import canonical_sum, sigmoid
-from dircp.scenario import ScenarioConfig, cell_dropout_uniforms
+from dircp.scenario import (
+    ScenarioConfig,
+    _box_arrays,
+    _segments_blocked,
+    cell_dropout_uniforms,
+)
 
 
 def points_in_box(points: np.ndarray, box: RotatedBox) -> np.ndarray:
@@ -52,9 +60,15 @@ def mc_iou(a: RotatedBox, b: RotatedBox, n: int = 1_000_000, seed: int = 0) -> f
     rng = np.random.default_rng(seed)
     u = rng.uniform(-0.5 * a.length, 0.5 * a.length, size=n)
     v = rng.uniform(-0.5 * a.width, 0.5 * a.width, size=n)
-    pts = np.stack([a.cx + u * a.cos_a - v * a.sin_a,
-                    a.cy + u * a.sin_a + v * a.cos_a], axis=1)
-    p_hit = float(np.mean(points_in_box(pts, b)))
+    # Hits are counted over 32k-point slices, so the temporaries stay in cache;
+    # an integer count over n equals the mean of the whole hit mask.
+    hits, step = 0, 32_768
+    for i in range(0, n, step):
+        us, vs = u[i:i + step], v[i:i + step]
+        pts = np.stack([a.cx + us * a.cos_a - vs * a.sin_a,
+                        a.cy + us * a.sin_a + vs * a.cos_a], axis=1)
+        hits += int(np.count_nonzero(points_in_box(pts, b)))
+    p_hit = hits / n
     inter = a.area * p_hit
     union = a.area + b.area - inter
     return inter / union
@@ -120,6 +134,46 @@ def clip_area(a: RotatedBox, b: RotatedBox) -> float:
     """Intersection area from the polygon clip alone, with no far-apart reject."""
     poly = _clip_polygon(box_corners(a), box_corners(b))
     return abs(_polygon_area(poly)) if len(poly) >= 3 else 0.0
+
+
+def footprint_cells_per_cell(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
+    """scenario._footprint_cells as one polygon clip per cell of the box's range."""
+    xs, ys = zip(*box_corners(box))
+    r0, c0 = grid.cell_of(min(xs), min(ys))
+    r1, c1 = grid.cell_of(max(xs), max(ys))
+    cells = []
+    for r in range(max(r0, 0), min(r1, grid.h - 1) + 1):
+        for c in range(max(c0, 0), min(c1, grid.w - 1) + 1):
+            cx, cy = grid.center_of(r, c)
+            cell_box = RotatedBox(1.0, cx, cy, grid.cell_size, grid.cell_size, 1.0, 0.0)
+            if intersection_area(box, cell_box) > 1e-12:
+                cells.append((r, c))
+    return cells
+
+
+def observe_grid_per_vehicle(config: ScenarioConfig, grid: GridSpec, vehicles,
+                             vehicle_cells, pos: tuple[float, float],
+                             agent_index: int) -> np.ndarray:
+    """scenario._observe_grid with one vectorized segment test per target vehicle."""
+    evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
+    range_sq = config.sensor_range ** 2
+    boxes = _box_arrays(vehicles)
+    for vi, cells in enumerate(vehicle_cells):
+        if not cells:
+            continue
+        rows, cols = np.array(cells).T
+        centers = grid.centers[rows, cols]
+        visible = ((centers[:, 0] - pos[0]) ** 2 + (centers[:, 1] - pos[1]) ** 2) <= range_sq
+        if config.occlusion_enabled and visible.any():
+            blocked = _segments_blocked(pos, centers, boxes)
+            blocked[vi] = False
+            visible &= ~blocked.any(axis=0)
+        evidence[rows[visible], cols[visible]] = 1
+    if config.dropout_prob > 0.0:
+        keep = cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w) \
+            >= config.dropout_prob
+        evidence = (evidence.astype(bool) & keep).astype(np.uint8)
+    return evidence
 
 
 def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec, vehicles,
@@ -454,3 +508,14 @@ def evaluate_boxes_per_call(preds, truths, partition, thresholds):
     ap_at_pd = {th: tuple(average_precision_per_call(ps, ts, th) for ps, ts in zip(p, t))
                 for th in thresholds}
     return ap_at_iou, ap_at_pd
+
+
+def attention_trace_csv_per_element(fused):
+    """fusion.attention_trace_csv with one f-string, and one repr, per element."""
+    lines = ["row,col,agent,weight"]
+    h, w, n = fused.attention_trace.shape
+    for r in range(h):
+        for c in range(w):
+            for a in range(n):
+                lines.append(f"{r},{c},{a},{fused.attention_trace[r, c, a]!r}")
+    return "\n".join(lines) + "\n"

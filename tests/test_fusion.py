@@ -30,6 +30,7 @@ from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
 from dircp.scenario import ScenarioConfig, generate
 
 from _oracles import (
+    attention_trace_csv_per_element,
     clusters_full_scan,
     decode_per_cell,
     dense_dsa_weights,
@@ -468,3 +469,30 @@ class TestTraceCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "row,col,agent,weight"
         assert len(lines) == 1 + 2 * 2 * 2
+
+    @pytest.mark.parametrize("method", ["directed", "uniform", "single"])
+    def test_real_runs_match_per_element_writer(self, method):
+        settings = RunSettings()
+        scene = prepare_scene(generate(ScenarioConfig(seed=5)), settings)
+        for budget in (0.02, 0.2, 0.5):
+            fused = run_pipeline(scene, method, budget, settings).fused
+            assert attention_trace_csv(fused) == attention_trace_csv_per_element(fused)
+
+    def test_single_agent_trace(self):
+        grid = GridSpec(3, 4, 1.0)
+        trace = np.arange(12.0).reshape(3, 4, 1) / 7.0
+        fused = FusedMap(grid=grid, values=np.zeros((3, 4, 4)), attention_trace=trace)
+        text = attention_trace_csv(fused)
+        assert text == attention_trace_csv_per_element(fused)
+        assert text.count("\n") == 1 + 12
+
+    def test_signed_zero_subnormal_and_repeats(self):
+        grid = GridSpec(3, 2, 1.0)
+        special = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 0.3, 1e-05, -0.0, 1.0]
+        trace = np.array((special * 4)[:18]).reshape(3, 2, 3)
+        fused = FusedMap(grid=grid, values=np.zeros((3, 2, 4)), attention_trace=trace)
+        text = attention_trace_csv(fused)
+        assert text == attention_trace_csv_per_element(fused)
+        weights = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:4]]
+        assert weights == [repr(np.float64(v)) for v in special[:3]]
+        assert repr(np.float64(-0.0)) in text and repr(np.float64(5e-324)) in text

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dircp import scenario
-from dircp.geometry import RotatedBox, iou, sector_of
+from dircp.geometry import RotatedBox, intersection_area, iou, sector_of
 from dircp.grid import GridSpec
+from dircp.learn import rasterize_truth
 from dircp.scenario import (
     PlacementExhausted,
     ScenarioConfig,
@@ -20,7 +21,12 @@ from dircp.scenario import (
     scene_to_dict,
 )
 
-from _oracles import clip_area, observe_grid_per_blocker
+from _oracles import (
+    clip_area,
+    footprint_cells_per_cell,
+    observe_grid_per_blocker,
+    observe_grid_per_vehicle,
+)
 
 
 def small_config(**kw):
@@ -152,25 +158,154 @@ DENSE = dict(n_vehicles=24, n_collaborators=8, density_profile=(0.4, 0.4, 0.1, 0
 
 
 class TestMatchesReference:
-    """generate against itself with the per-blocker occlusion loop and the
-    unrejected polygon clip patched in.
+    """generate against itself with the per-blocker occlusion loop, the per-cell
+    footprint clip and the unrejected polygon clip patched in.
     """
 
     @pytest.mark.parametrize("seed,kw", [
         (1, DENSE), (2, DENSE), (3, {}), (4, {}),
         (5, dict(DENSE, occlusion_enabled=False)),
         (6, dict(DENSE, dropout_prob=0.3)), (7, dict(dropout_prob=0.5)),
+        (11, DENSE), (12, DENSE), (13, {}), (14, {}),
     ])
     def test_world_matches_reference(self, monkeypatch, seed, kw):
         cfg = ScenarioConfig(seed=seed, **kw)
         world = generate(cfg)
         monkeypatch.setattr(scenario, "_observe_grid", observe_grid_per_blocker)
+        monkeypatch.setattr(scenario, "_footprint_cells", footprint_cells_per_cell)
         monkeypatch.setattr(scenario, "intersection_area", clip_area)
         ref = generate(cfg)
         assert world.vehicles == ref.vehicles
         assert world.vehicle_cells == ref.vehicle_cells
         assert world.per_agent_observations.dtype == ref.per_agent_observations.dtype
         assert np.array_equal(world.per_agent_observations, ref.per_agent_observations)
+
+
+def count_clips(monkeypatch):
+    """Count the polygon clips _footprint_cells falls back to."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return intersection_area(a, b)
+
+    monkeypatch.setattr(scenario, "intersection_area", counted)
+    return calls
+
+
+class TestFootprintCells:
+    """The separating-axis footprint against the per-cell clip it replaced."""
+
+    def assert_matches(self, box, grid):
+        got = _footprint_cells(box, grid)
+        assert got == footprint_cells_per_cell(box, grid)
+        assert all(type(r) is int and type(c) is int for r, c in got)
+        return got
+
+    def test_aligned_box_on_cell_lines_leaves_touched_cells_out(self, monkeypatch):
+        clips = count_clips(monkeypatch)
+        grid = GridSpec(16, 16, 1.0)
+        for box in (RotatedBox(1.0, 6.0, 5.0, 4.0, 2.0, 1.0, 0.0),
+                    RotatedBox(1.0, 6.0, 5.0, 2.0, 4.0, 0.0, 1.0)):
+            got = self.assert_matches(box, grid)
+            assert sorted(got) == [(r, c) for r in (4, 5) for c in (4, 5, 6, 7)]
+        assert clips  # the cells along the edges went through the fallback
+
+    def test_diamond_touching_a_cell_corner(self, monkeypatch):
+        clips = count_clips(monkeypatch)
+        grid = GridSpec(16, 16, 1.0)
+        a = math.pi / 4
+        for eps in (0.0, 1e-12, -1e-12, 1e-7, -1e-7, 1e-5, -2e-5):
+            # The lowest corner of a 45-degree box sits on the cell corner (5, 6),
+            # so the box touches the row below only at that point.
+            box = RotatedBox(1.0, 5.0 + eps + 2.0 * math.cos(a) - 1.0 * math.sin(a),
+                             6.0 + 2.0 * math.sin(a) + 1.0 * math.cos(a),
+                             4.0, 2.0, math.cos(a), math.sin(a))
+            got = self.assert_matches(box, grid)
+            assert (5, 4) not in got and (5, 5) not in got
+            assert (6, 4) in got and (6, 5) in got
+        assert clips
+
+    def test_half_metre_cells_and_offset_origin(self, monkeypatch):
+        clips = count_clips(monkeypatch)
+        grid = GridSpec(40, 48, 0.5, origin_x=-3.25, origin_y=1.5)
+        rng = np.random.default_rng(91)
+        for _ in range(300):
+            r, c = (int(v) for v in rng.integers(2, 30, 2))
+            x0, y0 = grid.origin_x + c * 0.5, grid.origin_y + r * 0.5
+            n_l, n_w = (int(v) for v in rng.integers(1, 9, 2))
+            off = float(rng.choice([0.0, 1e-9, -1e-9, 1e-6, -3e-6, 0.25]))
+            box = RotatedBox(1.0, x0 + 0.25 * n_l + off, y0 + 0.25 * n_w, 0.5 * n_l,
+                             0.5 * n_w, 1.0, 0.0)
+            self.assert_matches(box, grid)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            self.assert_matches(RotatedBox.from_angle(1.0, x0, y0, rng.uniform(0.2, 5.0),
+                                                      rng.uniform(0.2, 2.5), ang), grid)
+        assert clips
+
+    def test_boxes_near_the_area_threshold(self):
+        # A box inside one cell overlaps it by its own area, which can sit at or
+        # below the 1e-12 the clip needs, however far the box is from the edges.
+        grid = GridSpec(8, 8, 1.0)
+        for side, inside in ((1e-7, False), (1e-6, None), (1.0000001e-6, None),
+                             (2e-6, True), (1e-4, True)):
+            for ang in (0.0, 0.7):
+                got = self.assert_matches(
+                    RotatedBox.from_angle(1.0, 3.3, 4.6, side, side, ang), grid)
+                assert inside is None or got == ([(4, 3)] if inside else [])
+        for width in (1e-13, 1e-12, 1e-9):
+            self.assert_matches(RotatedBox(1.0, 3.3, 4.6, 3.0, width, 0.6, 0.8), grid)
+
+    def test_box_partly_or_wholly_off_the_grid(self):
+        grid = GridSpec(8, 10, 1.0, origin_x=2.0)
+        for cx, cy in ((2.5, 4.0), (11.8, 7.9), (-5.0, 4.0), (6.0, 30.0)):
+            for ang in (0.0, 0.3, math.pi / 4):
+                self.assert_matches(RotatedBox.from_angle(1.0, cx, cy, 4.5, 1.8, ang), grid)
+        assert _footprint_cells(RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0), grid) == []
+
+    @pytest.mark.parametrize("kw", [DENSE, {}])
+    def test_rasterize_truth_same_bits(self, kw):
+        for seed in range(20, 26):
+            world = generate(ScenarioConfig(seed=seed, **kw))
+            boxes = list(world.vehicles)
+            ref = rasterize_truth(boxes, world.grid,
+                                  [footprint_cells_per_cell(b, world.grid) for b in boxes])
+            assert rasterize_truth(boxes, world.grid).tobytes() == ref.tobytes()
+        grid = GridSpec(40, 48, 0.5, origin_x=-3.25, origin_y=1.5)
+        boxes = [RotatedBox(1.0, 2.0, 6.5, 4.0, 2.0, 1.0, 0.0),
+                 RotatedBox.from_angle(1.0, 12.25, 14.0, 4.5, 1.9, math.pi / 4)]
+        ref = rasterize_truth(boxes, grid, [footprint_cells_per_cell(b, grid) for b in boxes])
+        assert rasterize_truth(boxes, grid).tobytes() == ref.tobytes()
+
+
+class TestObserveBatched:
+    """_observe_grid's one ray cast per agent against one per target vehicle."""
+
+    @pytest.mark.parametrize("kw", [
+        DENSE, {}, dict(DENSE, occlusion_enabled=False), dict(occlusion_enabled=False),
+        dict(DENSE, dropout_prob=0.3), dict(dropout_prob=0.3, occlusion_enabled=False),
+        dict(DENSE, sensor_range=0.1), dict(sensor_range=1e-3, dropout_prob=0.3),
+        dict(DENSE, sensor_range=9.0),
+    ])
+    @pytest.mark.parametrize("grid", [None, GridSpec(24, 40, 1.0, origin_x=10.0),
+                                      GridSpec(30, 30, 0.5, origin_x=20.0, origin_y=15.0)])
+    def test_matches_per_vehicle_loop(self, kw, grid):
+        footprints = []
+        for seed in (31, 32):
+            cfg = ScenarioConfig(seed=seed, **kw)
+            world = generate(cfg, grid=grid)
+            agents = [world.ego_pose[:2]] + [p[:2] for p in world.collaborator_poses]
+            for agent, pos in enumerate(agents):
+                got = _observe_grid(cfg, world.grid, world.vehicles, world.vehicle_cells,
+                                    pos, agent)
+                ref = observe_grid_per_vehicle(cfg, world.grid, world.vehicles,
+                                               world.vehicle_cells, pos, agent)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                assert got.any() or cfg.sensor_range < 1.0 or grid is not None
+                assert not (got.any() and cfg.sensor_range < 1.0)
+            footprints += world.vehicle_cells
+        # A grid smaller than the area leaves some vehicles with no cells.
+        assert (() in footprints) == (grid is not None)
 
 
 class TestRsuObserve:
