@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comms import ScorerParams
-from .geometry import RotatedBox, SectorPartition, iou, sector_of
+from .geometry import RotatedBox, SectorPartition, far_apart_pairs, iou, sector_of
 from .learn import train_scorer, training_scenes
 from .pipeline import (
     METHODS,
@@ -122,7 +122,9 @@ class SeedResult:
 
 def evaluate_boxes(preds, truths, partition, thresholds):
     """AP and per-sector AP at each IoU threshold, from one IoU per (pred, truth)."""
-    ious = np.reshape([[iou(p, t) for t in truths] for p in preds], (len(preds), len(truths)))
+    ious = np.zeros((len(preds), len(truths)))  # far pairs, iou's early 0.0, stay 0.0
+    for i, j in zip(*np.nonzero(~far_apart_pairs(preds, truths))):
+        ious[i, j] = iou(preds[i], truths[j])
     sector = [np.array([sector_of(b, partition) for b in boxes], dtype=int)
               for boxes in (preds, truths)]
     by_sector = [[np.flatnonzero(side == s) for side in sector]
@@ -200,15 +202,18 @@ def _seed_cell_results(args) -> list[SeedResult]:
     (scenario, settings, seed, budgets, sigmas, methods, scorers, grid) = args
     world = generate(replace(scenario, seed=seed), grid=grid)
     scene = prepare_scene(world, settings)
+    # single reads neither the budget nor the scorer: run it once, emit it per cell.
+    single = "single" in methods and run_method(world, "single", 0.0, settings, scene=scene)
     out = []
     for sigma in sigmas:
         scorer = scorers.get(float(sigma)) if scorers else None
         sig_settings = replace(settings, loss_sigma=float(sigma))
         for budget in budgets:
             for method in methods:
-                out.append(run_method(world, method, float(budget), sig_settings,
-                                      scorer_params=None if method == "single" else scorer,
-                                      scene=scene))
+                out.append(replace(single, budget=float(budget), loss_sigma=float(sigma))
+                           if method == "single" else
+                           run_method(world, method, float(budget), sig_settings,
+                                      scorer_params=scorer, scene=scene))
     return out
 
 

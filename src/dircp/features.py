@@ -50,7 +50,8 @@ class SparseFeatureMap:
         if outside.size:
             i = outside[0]
             raise ValueError(f"entry ({rows[i]}, {cols[i]}) outside {h}x{w}")
-        if np.unique(rows * w + cols).size != len(rows):
+        flat = rows * w + cols  # strictly increasing, as build_message sends them: unique
+        if not (flat[1:] > flat[:-1]).all() and np.unique(flat).size != len(rows):
             raise ValueError("duplicate entry")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

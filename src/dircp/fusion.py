@@ -119,6 +119,7 @@ class DsaWeights:
     values: np.ndarray = field(repr=False)    # (H, W, N), QCM-modulated
     pre_qcm: np.ndarray = field(repr=False)   # (H, W, N), softmax output
     present: np.ndarray = field(repr=False)   # (H, W, N) bool
+    gather: tuple | None = field(default=None, repr=False, compare=False)  # see fuse
 
 
 @dataclass(frozen=True)
@@ -220,14 +221,15 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
         raise ShapeMismatch("QCM shape disagrees with ego grid / received list")
     if params.d != ego.d:
         raise ShapeMismatch("attention params width disagrees with features")
-    present, cells, feats = _gather(ego, received)
+    gathered = present, cells, feats = _gather(ego, received)
     conf = qcm.values.reshape(h * w, len(received))
     _, pre_at, *_ = attention_weights(feats[0], feats, present[cells].T[:, None],
                                       conf[None, cells], params, canonical_sum)
     pre = np.tile(np.eye(1, len(feats)), (h * w, 1))
     pre[cells] = pre_at[:, 0].T
     values = np.concatenate([pre[:, :1], pre[:, 1:] * conf], axis=1)
-    return DsaWeights(*(a.reshape(h, w, -1) for a in (values, pre, present)))
+    return DsaWeights(*(a.reshape(h, w, -1) for a in (values, pre, present)),
+                      gather=((ego, *received), gathered))
 
 
 def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
@@ -240,7 +242,12 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     pools to ego_value * w_ego + 0.0 (an ego -0.0 becomes +0.0).
     """
     h, w = ego.grid.shape
-    present, cells, feats = _gather(ego, received)
+    # gather is ((ego, *received), _gather(ego, received)) from dsa_weights. It holds
+    # those maps alive, so equal ids mean the same map objects.
+    maps, gathered = weights.gather or ((), None)
+    if [*map(id, maps)] != [*map(id, (ego, *received))]:
+        gathered = _gather(ego, received)
+    present, cells, feats = gathered
     if weights.values.shape != (h, w, len(feats)):
         raise ShapeMismatch("weights shape disagrees with agents")
     flat = weights.values.reshape(h * w, -1)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 _EPS_AREA = 1e-12
 _EPS_ANGLE_DEG = 1e-9
 # Tolerance for the point-on-edge side test during clipping; keeps vertices
@@ -123,6 +125,15 @@ def _far_apart(a: RotatedBox, b: RotatedBox) -> bool:
     # The margin keeps boxes that touch within the clipping tolerance on the exact path.
     r = 0.5 * math.hypot(a.length, a.width) + 0.5 * math.hypot(b.length, b.width) + 1e-6
     dx, dy = a.cx - b.cx, a.cy - b.cy
+    return dx * dx + dy * dy > r * r
+
+
+def far_apart_pairs(a_boxes, b_boxes) -> np.ndarray:
+    """(A, B) bool: _far_apart of every (a, b) pair, with the same float operations."""
+    (ra, xa, ya), (rb, xb, yb) = (np.reshape([(0.5 * math.hypot(b.length, b.width), b.cx, b.cy)
+                                              for b in boxes], (-1, 3)).T
+                                  for boxes in (a_boxes, b_boxes))
+    dx, dy, r = xa[:, None] - xb, ya[:, None] - yb, (ra[:, None] + rb) + 1e-6
     return dx * dx + dy * dy > r * r
 
 

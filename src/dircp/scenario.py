@@ -150,7 +150,7 @@ def _footprint_cells(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
 def _box_arrays(boxes) -> np.ndarray:
     """(6, B, 1): cx, cy, cos_a, sin_a, half-length and half-width of each box."""
     return np.array([(b.cx, b.cy, b.cos_a, b.sin_a, 0.5 * b.length, 0.5 * b.width)
-                     for b in boxes], dtype=np.float64).T[:, :, None]
+                     for b in boxes], dtype=np.float64).reshape(-1, 6).T[:, :, None]
 
 
 def _segments_blocked(pos: tuple[float, float], targets: np.ndarray,
@@ -237,9 +237,10 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
 
     vehicle_cells = tuple(tuple(_footprint_cells(v, grid)) for v in vehicles)
     observations = np.zeros((len(agent_points), grid.h, grid.w), dtype=np.uint8)
+    arrays = _world_arrays(grid, vehicles, vehicle_cells)
     for agent, pos in enumerate(agent_points):
         observations[agent] = _observe_grid(config, grid, vehicles, vehicle_cells,
-                                            pos, agent)
+                                            pos, agent, arrays)
 
     return ScenarioWorld(config=config, grid=grid, partition=partition, ego_pose=ego,
                          collaborator_poses=tuple(collaborators), rsu_pose=ego,
@@ -248,19 +249,24 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
                          vehicle_cells=vehicle_cells)
 
 
-def _observe_grid(config: ScenarioConfig, grid: GridSpec, vehicles, vehicle_cells,
-                  pos: tuple[float, float], agent_index: int) -> np.ndarray:
-    evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
+def _world_arrays(grid: GridSpec, vehicles, vehicle_cells):
+    """_observe_grid's per-world part: footprint rows, cols, owners, centers; boxes."""
     rows, cols = np.array([rc for cells in vehicle_cells for rc in cells],
                           dtype=np.intp).reshape(-1, 2).T
     owner = np.repeat(np.arange(len(vehicle_cells)), [len(cells) for cells in vehicle_cells])
-    centers = grid.centers[rows, cols]
+    return rows, cols, owner, grid.centers[rows, cols], _box_arrays(vehicles)
+
+
+def _observe_grid(config: ScenarioConfig, grid: GridSpec, vehicles, vehicle_cells,
+                  pos: tuple[float, float], agent_index: int, arrays=None) -> np.ndarray:
+    evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
+    rows, cols, owner, centers, boxes = arrays or _world_arrays(grid, vehicles, vehicle_cells)
     visible = ((centers - pos) ** 2).sum(axis=1) <= config.sensor_range ** 2
     rows, cols, owner, centers = rows[visible], cols[visible], owner[visible], centers[visible]
     if config.occlusion_enabled and rows.size:
         # One call over every in-range footprint cell: its temporaries are
         # n_vehicles x the in-range cells. A vehicle's own box does not block it.
-        blocked = _segments_blocked(pos, centers, _box_arrays(vehicles))
+        blocked = _segments_blocked(pos, centers, boxes)
         blocked[owner, np.arange(owner.size)] = False
         seen = ~blocked.any(axis=0)
         rows, cols = rows[seen], cols[seen]

@@ -5,8 +5,9 @@ vectorized scoring and occlusion, analytic gradients, the array wire codec,
 the shared attention kernel) so they can serve as oracles. The exceptions are
 the former production code kept as bit-for-bit references for its batched
 replacement: dense_dsa_weights/dense_fuse run the shared kernel on every cell
-of the grid, footprint_cells_per_cell clips one cell at a time, and
-observe_grid_per_vehicle runs the segment test once per target vehicle.
+of the grid, footprint_cells_per_cell clips one cell at a time,
+observe_grid_per_vehicle runs the segment test once per target vehicle, and
+seed_cell_results_per_budget runs single at every sweep cell.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
 from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
+from dircp.evaluate import run_method
 from dircp.features import densify
 from dircp.fusion import DsaWeights, FusedMap, attention_pool, attention_weights
 from dircp.geometry import (
@@ -33,11 +36,13 @@ from dircp.geometry import (
 )
 from dircp.grid import GridSpec
 from dircp.num import canonical_sum, sigmoid
+from dircp.pipeline import prepare_scene
 from dircp.scenario import (
     ScenarioConfig,
     _box_arrays,
     _segments_blocked,
     cell_dropout_uniforms,
+    generate,
 )
 
 
@@ -178,8 +183,11 @@ def observe_grid_per_vehicle(config: ScenarioConfig, grid: GridSpec, vehicles,
 
 def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec, vehicles,
                              vehicle_cells, pos: tuple[float, float],
-                             agent_index: int) -> np.ndarray:
-    """Evidence grid of one agent: one scalar segment test per (cell, blocker)."""
+                             agent_index: int, arrays=None) -> np.ndarray:
+    """Evidence grid of one agent: one scalar segment test per (cell, blocker).
+
+    arrays, the per-world footprint arrays generate passes in, is not read.
+    """
     evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
     range_sq = config.sensor_range ** 2
     for vi, cells in enumerate(vehicle_cells):
@@ -519,3 +527,20 @@ def attention_trace_csv_per_element(fused):
             for a in range(n):
                 lines.append(f"{r},{c},{a},{fused.attention_trace[r, c, a]!r}")
     return "\n".join(lines) + "\n"
+
+
+def seed_cell_results_per_budget(args):
+    """evaluate._seed_cell_results with every method, single too, run at every cell."""
+    (scenario, settings, seed, budgets, sigmas, methods, scorers, grid) = args
+    world = generate(replace(scenario, seed=seed), grid=grid)
+    scene = prepare_scene(world, settings)
+    out = []
+    for sigma in sigmas:
+        scorer = scorers.get(float(sigma)) if scorers else None
+        sig_settings = replace(settings, loss_sigma=float(sigma))
+        for budget in budgets:
+            for method in methods:
+                out.append(run_method(world, method, float(budget), sig_settings,
+                                      scorer_params=None if method == "single" else scorer,
+                                      scene=scene))
+    return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from dircp.evaluate import (
     sweep,
     worker_count,
 )
-from dircp.geometry import RotatedBox, SectorPartition, sector_of
+from dircp.comms import ScorerParams
+from dircp.geometry import RotatedBox, SectorPartition, _far_apart, sector_of
 from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
 from dircp.report import budget_curve_svg, per_seed_csv, sweep_csv, sweep_json
 from dircp.scenario import ScenarioConfig, generate
 
-from _oracles import evaluate_boxes_per_call, random_box
+from _oracles import evaluate_boxes_per_call, random_box, seed_cell_results_per_budget
 
 
 def box_at(x, y, conf=1.0, length=4.0, width=2.0):
@@ -129,6 +132,64 @@ class TestEvaluateBoxes:
             assert evaluate_boxes(preds, truths, scene.partition, self.THRESHOLDS) == \
                 evaluate_boxes_per_call(preds, truths, scene.partition, self.THRESHOLDS)
 
+    @staticmethod
+    def iou_calls(monkeypatch, preds, truths, part, thresholds):
+        """evaluate_boxes' result and the (pred, truth) index pairs it called iou on."""
+        import dircp.evaluate
+
+        calls = []
+        index = [{id(b): i for i, b in enumerate(boxes)} for boxes in (preds, truths)]
+
+        def counted(a, b):
+            calls.append((index[0][id(a)], index[1][id(b)]))
+            return real(a, b)
+
+        real = dircp.evaluate.iou
+        with monkeypatch.context() as m:
+            m.setattr(dircp.evaluate, "iou", counted)
+            return evaluate_boxes(preds, truths, part, thresholds), calls
+
+    def test_bulk_reject_at_the_reject_distance(self, monkeypatch):
+        # Pair i sits within 1e-5 m of _far_apart's distance, ra + rb + 1e-6,
+        # along a random direction; every other pair is wherever it lands.
+        rng = np.random.default_rng(9)
+        part = SectorPartition.uniform(4, frame_origin=(0.25, 0.5))
+        decided = {True: 0, False: 0}
+        for _ in range(300):
+            preds, truths = [], []
+            for _ in range(10):
+                p = random_box(rng, span=40.0, confidence=float(rng.uniform(0.1, 1.0)))
+                t = random_box(rng, span=1.0)
+                r = 0.5 * math.hypot(p.length, p.width) + 0.5 * math.hypot(t.length, t.width) \
+                    + 1e-6 + float(rng.choice([0.0, 1e-16, -1e-16, rng.uniform(-1e-5, 1e-5)]))
+                ang = float(rng.uniform(0.0, 2.0 * math.pi))
+                preds.append(p)
+                truths.append(RotatedBox(1.0, p.cx + r * math.cos(ang), p.cy + r * math.sin(ang),
+                                         t.length, t.width, t.cos_a, t.sin_a))
+                decided[_far_apart(p, truths[-1])] += 1
+            got, calls = self.iou_calls(monkeypatch, preds, truths, part, self.THRESHOLDS)
+            assert sorted(calls) == [(i, j) for i in range(10) for j in range(10)
+                                     if not _far_apart(preds[i], truths[j])]
+            assert got == evaluate_boxes_per_call(preds, truths, part, self.THRESHOLDS)
+        assert min(decided.values()) > 500  # both sides of the distance are hit
+
+    @pytest.mark.parametrize("budget", [0.02, 0.2, 0.5])
+    def test_bulk_reject_on_decoded_boxes(self, monkeypatch, budget):
+        settings = RunSettings()
+        for seed, kw in ((3, {}), (4, dict(n_vehicles=24, n_collaborators=8))):
+            world = generate(ScenarioConfig(seed=seed, **kw))
+            scene = prepare_scene(world, settings)
+            for method in ("directed", "uniform", "single"):
+                preds = run_pipeline(scene, method, budget, settings).boxes
+                truths = list(world.vehicles)
+                got, calls = self.iou_calls(monkeypatch, preds, truths, scene.partition,
+                                            self.THRESHOLDS)
+                assert sorted(calls) == [(i, j) for i, p in enumerate(preds)
+                                         for j, t in enumerate(truths) if not _far_apart(p, t)]
+                assert calls and len(calls) < len(preds) * len(truths)
+                assert got == evaluate_boxes_per_call(preds, truths, scene.partition,
+                                                      self.THRESHOLDS)
+
 
 def eval_config(seed=0, **kw):
     base = dict(seed=seed, area_side=32.0, n_collaborators=2, n_vehicles=5,
@@ -219,6 +280,44 @@ class TestSweep:
         assert sweep_json(a) == sweep_json(b)
         c = sweep(scenario, SETTINGS, jobs=2, **kwargs)
         assert sweep_json(a) == sweep_json(c)
+
+    @pytest.mark.parametrize("methods", [("single", "directed", "uniform"),
+                                         ("directed", "uniform", "single"), ("single",)])
+    def test_matches_per_budget_loop(self, monkeypatch, methods):
+        import dircp.evaluate
+
+        scenario = eval_config(seed=21)
+        scorers = {0.5: ScorerParams.random(4, seed=1, scale=0.3),
+                   2.0: ScorerParams.random(4, seed=2, scale=0.3)}
+        kwargs = dict(budgets=[0.05, 0.2, 0.6], sigmas=[0.5, 2.0], seeds=[21, 22, 23],
+                      methods=methods, scorers=scorers)
+
+        def texts(result):
+            svgs = [budget_curve_svg(result, t, s) for t in SETTINGS.iou_thresholds
+                    for s in (0.5, 2.0)]
+            return (sweep_json(result), sweep_csv(result, SETTINGS.iou_thresholds),
+                    per_seed_csv(list(result.per_seed), SETTINGS.iou_thresholds), svgs)
+
+        with monkeypatch.context() as m:
+            m.setattr(dircp.evaluate, "_seed_cell_results", seed_cell_results_per_budget)
+            ref = texts(sweep(scenario, SETTINGS, **kwargs))
+        for jobs in (1, 2):
+            assert texts(sweep(scenario, SETTINGS, jobs=jobs, **kwargs)) == ref
+
+    def test_single_runs_once_per_seed(self, monkeypatch):
+        import dircp.evaluate
+
+        calls = []
+        real = dircp.evaluate.run_pipeline
+        monkeypatch.setattr(dircp.evaluate, "run_pipeline",
+                            lambda scene, method, *a: calls.append(method) or
+                            real(scene, method, *a))
+        result = sweep(eval_config(seed=5), SETTINGS, budgets=[0.1, 0.3], sigmas=[1.0, 2.0],
+                       seeds=[5, 6], methods=("single", "directed", "uniform"))
+        assert sorted(calls) == ["directed"] * 8 + ["single"] * 2 + ["uniform"] * 8
+        assert [(r.seed, r.method, r.budget, r.loss_sigma) for r in result.per_seed] == \
+            [(seed, m, b, s) for seed in (5, 6) for s in (1.0, 2.0) for b in (0.1, 0.3)
+             for m in ("single", "directed", "uniform")]
 
     def test_worker_count_is_clamped(self):
         assert worker_count(1, 5, 8) == 1

@@ -81,6 +81,18 @@ class TestSparse:
             SparseFeatureMap(np.array([1, 2, 1]), np.array([0, 3, 0]),
                              np.zeros((3, 2)), (4, 4, 2))
 
+    def test_duplicates_rejected_sorted_or_not(self):
+        for rows, cols in (([0, 1, 1, 2], [3, 0, 0, 1]), ([2, 0, 2], [1, 0, 1]),
+                           ([3, 3], [3, 3])):
+            with pytest.raises(ValueError, match="duplicate"):
+                SparseFeatureMap(np.array(rows), np.array(cols),
+                                 np.zeros((len(rows), 2)), (4, 4, 2))
+
+    def test_unsorted_unique_entries_accepted(self):
+        rows, cols = np.array([3, 0, 2, 0]), np.array([1, 2, 0, 0])
+        sparse = SparseFeatureMap(rows, cols, np.arange(8.0).reshape(4, 2), (4, 4, 2))
+        assert sparse.rows.tolist() == [3, 0, 2, 0] and sparse.cols.tolist() == [1, 2, 0, 0]
+
     def test_out_of_range_rejected(self):
         for row, col in ((5, 0), (0, 4), (-1, 0)):
             with pytest.raises(ValueError, match="outside"):

@@ -293,6 +293,43 @@ class TestGatherMatchesDense:
         assert same_bytes(got.values, ref.values)
         assert same_bytes(got.attention_trace, ref.attention_trace)
 
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_fuse_reuses_gather_only_for_the_maps_dsa_weights_saw(self, monkeypatch, params):
+        import dircp.fusion
+
+        rng = np.random.default_rng(45)
+        ego = BevFeatureMap(GridSpec(6, 7, 1.0), rng.normal(size=(6, 7, 8)))
+        received = random_received(rng, (6, 7, 8), 3, 0.3)
+        received[1] = None
+        weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
+        # The same cells with other values, so a reused gather would pool stale features.
+        other = [None if m is None else SparseFeatureMap(m.rows, m.cols, m.values + 1.0,
+                                                         m.shape) for m in received]
+        other_ego = BevFeatureMap(ego.grid, ego.values - 1.0)
+        mutated = received  # the very list dsa_weights saw, changed after the call
+        mutated[2] = other[2]
+        calls = []
+        real_gather = dircp.fusion._gather
+        monkeypatch.setattr(dircp.fusion, "_gather",
+                            lambda *a: calls.append(a) or real_gather(*a))
+        for e, maps in ((other_ego, mutated), (ego, other), (ego, mutated),
+                        (ego, mutated[:2]), (ego, mutated + [None])):
+            calls.clear()
+            if len(maps) != 3:
+                with pytest.raises(ShapeMismatch):
+                    fuse(e, maps, weights, params)
+            else:
+                got = fuse(e, maps, weights, params)
+                assert same_bytes(got.values, dense_fuse(e, maps, weights, params).values)
+            assert len(calls) == 1
+        fresh = [None if m is None else SparseFeatureMap(m.rows, m.cols, m.values, m.shape)
+                 for m in mutated]
+        weights = dsa_weights(ego, fresh, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
+        calls.clear()
+        got = fuse(ego, fresh, weights, params)
+        assert calls == []  # the same objects: dsa_weights' gather is reused
+        assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
+
     @pytest.mark.parametrize("world", [{}, dict(n_vehicles=24, n_collaborators=8,
                                                 density_profile=(0.4, 0.4, 0.1, 0.1))])
     def test_real_scenes(self, world):

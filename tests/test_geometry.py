@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from dircp.geometry import (
     RotatedBox,
     SectorPartition,
+    _far_apart,
     box_corners,
+    far_apart_pairs,
     intersection_area,
     iou,
     sector_of,
@@ -260,6 +262,31 @@ class TestIntersectionArea:
                 assert got == clip_area(p, q)
                 rejected += got == 0.0
         assert rejected > 0
+
+
+class TestFarApartPairs:
+    def test_matches_scalar_reject_at_the_reject_distance(self):
+        # Each b[i] sits within 1e-5 m of a[i]'s reject distance; the other
+        # pairs land anywhere.
+        rng = np.random.default_rng(48)
+        a = [random_box(rng, span=40.0) for _ in range(60)]
+        b = []
+        for p in a:
+            t = random_box(rng, span=1.0)
+            d = 0.5 * math.hypot(p.length, p.width) + 0.5 * math.hypot(t.length, t.width) \
+                + 1e-6 + float(rng.choice([0.0, 1e-16, -1e-16, rng.uniform(-1e-5, 1e-5)]))
+            ang = rng.uniform(0.0, 2 * math.pi)
+            b.append(RotatedBox(1.0, p.cx + d * math.cos(ang), p.cy + d * math.sin(ang),
+                                t.length, t.width, t.cos_a, t.sin_a))
+        got = far_apart_pairs(a, b)
+        assert got.dtype == bool and got.shape == (60, 60)
+        assert got.tolist() == [[_far_apart(p, q) for q in b] for p in a]
+        assert 10 < np.diag(got).sum() < 50  # both sides of the distance are hit
+
+    def test_empty_sides(self):
+        boxes = [random_box(np.random.default_rng(1)) for _ in range(3)]
+        assert far_apart_pairs([], boxes).shape == (0, 3)
+        assert far_apart_pairs(boxes, []).shape == (3, 0)
 
 
 class TestEqualRegionIoU:
