@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import BevFeatureMap, SparseFeatureMap
-from .num import sigmoid, sigmoid_grad_from_value
+from .num import sigmoid
 
 WIRE_MAGIC = b"DCPM"
 WIRE_VERSION = 1
@@ -59,7 +59,7 @@ class QueryConfidenceMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 3:
             raise ShapeMismatch(f"QCM must be (H, W, K), got {v.shape}")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails both
             raise ValueError("QCM values must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
@@ -206,12 +206,19 @@ def score_reference(q0: np.ndarray, pe: np.ndarray, de: np.ndarray) -> QueryConf
     return QueryConfidenceMap(values)
 
 
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(x @ w.T + b, 0), with the bias and ReLU applied in place."""
+    out = x @ w.T
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
 def score_mlp_forward(params: ScorerParams, q0, pe, de):
     """MLP scorer forward pass; returns (QueryConfidenceMap, cache for backward)."""
     x = _stack_inputs(q0, pe, de)
     flat = x.reshape(-1, 3)
-    h1 = np.maximum(flat @ params.w1.T + params.b1, 0.0)
-    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
+    h1 = _relu_layer(flat, params.w1, params.b1)
+    h2 = _relu_layer(h1, params.w2, params.b2)
     c = sigmoid(h2 @ params.w3 + params.b3)
     cache = {"x": flat, "h1": h1, "h2": h2, "c": c, "params": params}
     return QueryConfidenceMap(c.reshape(x.shape[:3])), cache
@@ -228,14 +235,16 @@ def score_mlp_backward(cache: dict, d_c: np.ndarray) -> ScorerParams:
     """
     params: ScorerParams = cache["params"]
     flat_dc = np.asarray(d_c, dtype=np.float64).reshape(-1)
-    dz3 = flat_dc * sigmoid_grad_from_value(cache["c"])
+    dz3 = flat_dc * (cache["c"] * (1.0 - cache["c"]))  # sigmoid' from its value
     dw3 = cache["h2"].T @ dz3
     db3 = float(dz3.sum())
     # A ReLU's output is positive exactly where its input is.
-    dz2 = np.outer(dz3, params.w3) * (cache["h2"] > 0.0)
+    dz2 = np.multiply.outer(dz3, params.w3)
+    dz2 *= cache["h2"] > 0.0
     dw2 = dz2.T @ cache["h1"]
     db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ params.w2) * (cache["h1"] > 0.0)
+    dz1 = dz2 @ params.w2
+    dz1 *= cache["h1"] > 0.0
     dw1 = dz1.T @ cache["x"]
     db1 = dz1.sum(axis=0)
     return ScorerParams(dw1, db1, dw2, db2, dw3, db3)

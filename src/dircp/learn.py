@@ -102,6 +102,44 @@ def _focal_grad(p_raw: np.ndarray, positive: np.ndarray) -> np.ndarray:
     return np.where(positive, gpos, gneg) * inside
 
 
+@dataclass(frozen=True, eq=False)
+class LossTerms:
+    """What detection_loss reads of the truth and sector map; cells are flat, row-major."""
+
+    positive: np.ndarray  # (H*W,) bool
+    reg: np.ndarray       # regression cells, ascending
+    targets: np.ndarray   # (len(reg), 6) their regression targets
+    cells: tuple          # per sector, its cells, ascending
+    reg_of: tuple         # per sector, the positions in reg of its regression cells
+    n_pos: np.ndarray     # (n_dir,) positive cells per sector
+
+    @classmethod
+    def of(cls, truth: np.ndarray, sector_map: np.ndarray, n_dir: int) -> "LossTerms":
+        positive = truth[:, :, 0].ravel() > 0.5
+        reg = np.flatnonzero(regression_mask(truth))
+        sector = np.asarray(sector_map).ravel()
+        cells = tuple(np.flatnonzero(sector == i) for i in range(n_dir))
+        return cls(positive, reg, truth.reshape(-1, 7)[reg, 1:], cells,
+                   tuple(np.flatnonzero(sector[reg] == i) for i in range(n_dir)),
+                   np.array([np.count_nonzero(positive[c]) for c in cells], dtype=np.int64))
+
+
+def _loss_parts(pred: np.ndarray, terms: LossTerms, lambda_off: float,
+                lambda_size: float) -> dict:
+    # A sector's cells are summed in row-major order, as a boolean mask would pick them.
+    flat = pred.reshape(-1, 7)
+    focal_cells = _focal_terms(flat[:, 0], terms.positive)
+    res = flat[terms.reg, 1:] - terms.targets
+    off_cells = smooth_l1(res[:, 0]) + smooth_l1(res[:, 1])
+    size_cells = smooth_l1(res[:, 2:6]).sum(axis=1)
+    norm = np.maximum(terms.n_pos, 1)
+    focal = np.array([focal_cells[c].sum() for c in terms.cells]) / norm
+    offset = lambda_off * np.array([off_cells[r].sum() for r in terms.reg_of]) / norm
+    size = lambda_size * np.array([size_cells[r].sum() for r in terms.reg_of]) / norm
+    return {"focal": focal, "offset": offset, "size": size,
+            "total": focal + offset + size, "n_pos": terms.n_pos}
+
+
 def detection_loss(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray,
                    n_dir: int, lambda_off: float = 1.0,
                    lambda_size: float = 1.0) -> dict:
@@ -112,27 +150,7 @@ def detection_loss(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray,
     """
     if pred.shape != truth.shape or pred.shape[2] != 7:
         raise ValueError(f"pred {pred.shape} and truth {truth.shape} must be (H, W, 7)")
-    positive = truth[:, :, 0] > 0.5
-    reg_mask = regression_mask(truth)
-    focal_cells = _focal_terms(pred[:, :, 0], positive)
-    res = pred[:, :, 1:7] - truth[:, :, 1:7]
-    off_cells = smooth_l1(res[:, :, 0]) + smooth_l1(res[:, :, 1])
-    size_cells = smooth_l1(res[:, :, 2:6]).sum(axis=2)
-    focal = np.zeros(n_dir)
-    offset = np.zeros(n_dir)
-    size = np.zeros(n_dir)
-    n_pos = np.zeros(n_dir, dtype=np.int64)
-    for i in range(n_dir):
-        cells = sector_map == i
-        pos_i = positive & cells
-        reg_i = reg_mask & cells
-        n_pos[i] = int(pos_i.sum())
-        norm = max(1, n_pos[i])
-        focal[i] = focal_cells[cells].sum() / norm
-        offset[i] = lambda_off * off_cells[reg_i].sum() / norm
-        size[i] = lambda_size * size_cells[reg_i].sum() / norm
-    return {"focal": focal, "offset": offset, "size": size,
-            "total": focal + offset + size, "n_pos": n_pos}
+    return _loss_parts(pred, LossTerms.of(truth, sector_map, n_dir), lambda_off, lambda_size)
 
 
 def _mask_bits(mask) -> tuple[int, ...]:
@@ -154,45 +172,48 @@ def dw_loss(per_direction, mask, sigma: float) -> float:
     return num / denom
 
 
+def _loss_grads(pred: np.ndarray, terms: LossTerms, mask, sigma: float,
+                lambda_off: float, lambda_size: float):
+    """dw_loss's gradient: (H*W,) on objectness, (len(reg), 6) on the regression cells."""
+    bits = _mask_bits(mask)
+    denom = sum(bits) + sigma * len(bits)
+    if denom == 0.0:
+        raise DegenerateWeights("sigma = 0 with an all-zero mask")
+    # Per-cell outer coefficient: direction weight / direction positive count.
+    coef = np.zeros(len(terms.positive))
+    for cells, norm, bit in zip(terms.cells, np.maximum(terms.n_pos, 1), bits):
+        coef[cells] = (bit + sigma) / denom / norm
+    flat = pred.reshape(-1, 7)
+    reg = smooth_l1_grad(flat[terms.reg, 1:] - terms.targets) * coef[terms.reg, None]
+    reg[:, 0:2] *= lambda_off
+    reg[:, 2:6] *= lambda_size
+    return _focal_grad(flat[:, 0], terms.positive) * coef, reg
+
+
 def dw_loss_gradient(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray,
                      mask, sigma: float, lambda_off: float = 1.0,
                      lambda_size: float = 1.0) -> np.ndarray:
     """Analytic gradient of dw_loss w.r.t. every entry of the prediction map."""
-    bits = _mask_bits(mask)
-    n_dir = len(bits)
-    denom = sum(bits) + sigma * n_dir
-    if denom == 0.0:
-        raise DegenerateWeights("sigma = 0 with an all-zero mask")
-    positive = truth[:, :, 0] > 0.5
-    reg_mask = regression_mask(truth)
-    # Per-cell outer coefficient: direction weight / direction positive count.
-    coef = np.zeros(pred.shape[:2])
-    for i in range(n_dir):
-        cells = sector_map == i
-        norm = max(1, int((positive & cells).sum()))
-        coef[cells] = (bits[i] + sigma) / denom / norm
-    grad = np.zeros_like(pred)
-    grad[:, :, 0] = _focal_grad(pred[:, :, 0], positive) * coef
-    res = pred[:, :, 1:7] - truth[:, :, 1:7]
-    reg = smooth_l1_grad(res) * reg_mask[:, :, None] * coef[:, :, None]
-    reg[:, :, 0:2] *= lambda_off
-    reg[:, :, 2:6] *= lambda_size
-    grad[:, :, 1:7] = reg
-    return grad
+    terms = LossTerms.of(truth, sector_map, len(_mask_bits(mask)))
+    grad = np.zeros((len(terms.positive), 7))
+    grad[:, 0], grad[terms.reg, 1:] = _loss_grads(pred, terms, mask, sigma, lambda_off,
+                                                  lambda_size)
+    return grad.reshape(pred.shape)
 
 
 @dataclass(frozen=True)
 class TrainScene:
-    """A prepared scene plus its rasterized ground truth."""
+    """A prepared scene, its rasterized ground truth and the loss constants of both."""
 
     scene: SceneInputs
     truth: np.ndarray = field(repr=False)
+    terms: LossTerms = field(repr=False)
 
 
 def make_train_scene(scene: SceneInputs) -> TrainScene:
     truth = rasterize_truth(list(scene.world.vehicles), scene.grid,
                             footprints=scene.world.vehicle_cells)
-    return TrainScene(scene, truth)
+    return TrainScene(scene, truth, LossTerms.of(truth, scene.sector_map, scene.mask.n_dir))
 
 
 def training_scenes(scenario: ScenarioConfig, settings: RunSettings, n: int,
@@ -203,23 +224,15 @@ def training_scenes(scenario: ScenarioConfig, settings: RunSettings, n: int,
     return [make_train_scene(prepare_scene(world, settings)) for world in worlds]
 
 
-def _fused_to_pred(fused_values: np.ndarray) -> np.ndarray:
-    """Per-cell 7-tuple readout: logistic objectness + raw regression channels."""
+def _objective(fused_values: np.ndarray, tscene: TrainScene, settings: RunSettings):
+    """DWLoss of a fused map; returns (loss, per-direction losses, prediction), the
+    prediction a per-cell 7-tuple: logistic objectness, then raw regression channels."""
     h, w, d = fused_values.shape
     pred = np.zeros((h, w, 7))
     pred[:, :, 0] = sigmoid(fused_values[:, :, 0])
-    reg = min(7, d)
-    pred[:, :, 1:reg] = fused_values[:, :, 1:reg]
-    return pred
-
-
-def _objective(fused_values: np.ndarray, tscene: TrainScene, settings: RunSettings):
-    """DWLoss of a fused map; returns (loss, per-direction losses, prediction)."""
-    scene = tscene.scene
-    pred = _fused_to_pred(fused_values)
-    parts = detection_loss(pred, tscene.truth, scene.sector_map, settings.n_dir,
-                           settings.lambda_off, settings.lambda_size)
-    return dw_loss(parts["total"], scene.mask, settings.loss_sigma), parts["total"], pred
+    pred[:, :, 1:min(7, d)] = fused_values[:, :, 1:min(7, d)]
+    total = _loss_parts(pred, tscene.terms, settings.lambda_off, settings.lambda_size)["total"]
+    return dw_loss(total, tscene.scene.mask, settings.loss_sigma), total, pred
 
 
 def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
@@ -235,17 +248,19 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     scene = tscene.scene
     if attn is None:
         attn = settings.attention_params()
-    f = scene.features
-    n, h, w, d = f.shape
+    n, h, w, d = scene.features.shape
     k = n - 1
     hw = h * w
     tau = settings.tau
-
-    qcm, mlp_cache = score_mlp_forward(params, scene.q0, scene.pe, scene.de)
-    c_vals = qcm.values
-
     # The threshold cell is the last one the hard clip keeps.
     limit = min(per_collaborator_budget(budget, h, w), hw)
+    # From here the grid is one row of H*W cells, the same cells in the same order:
+    # the kernel's matmuls then run one gemm per agent, not one per agent and row.
+    h, w = 1, hw
+    f = scene.features.reshape(n, h, w, d)
+
+    qcm, mlp_cache = score_mlp_forward(params, scene.q0, scene.pe, scene.de)
+    c_vals = qcm.values.reshape(h, w, k)
     flat = c_vals.reshape(hw, k).T
     qs = np.zeros((k, hw))
     if limit > 0:
@@ -262,28 +277,32 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     if not want_grad:
         return loss, None, per_dir
 
-    dpred = dw_loss_gradient(pred, tscene.truth, scene.sector_map, scene.mask,
-                             settings.loss_sigma, settings.lambda_off,
-                             settings.lambda_size)
+    dp0, dreg = _loss_grads(pred, tscene.terms, scene.mask, settings.loss_sigma,
+                            settings.lambda_off, settings.lambda_size)
     dfused = np.zeros((h, w, d))
     p0 = pred[:, :, 0]
-    dfused[:, :, 0] = dpred[:, :, 0] * p0 * (1.0 - p0)
+    dfused[:, :, 0] = dp0.reshape(h, w) * p0 * (1.0 - p0)
     reg = min(7, d)
-    dfused[:, :, 1:reg] += dpred[:, :, 1:reg]
+    dfused.reshape(hw, d)[tscene.terms.reg, 1:reg] += dreg[:, :reg - 1]
+    del fused, pred, p0, dp0  # each large array goes once the backward has read it
 
     du = (dfused @ attn.ffn_w2) * (u > 0.0)
     ds = dfused + du @ attn.ffn_w1
+    del u, du, dfused
 
     dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
     dv = np.multiply(wgt[..., None], ds[None], out=v)  # v is not read again
+    del ds, wgt
     dh_ag = dv @ attn.value_matrix()
     d_c = np.moveaxis(dwgt[1:] * pre[1:], 0, 2)
 
     scale = 1.0 / math.sqrt(attn.head_dim)
     da = dwgt * conf / attn.n_heads
+    del dwgt, pre, conf
     for a, q, wk in zip(probs, queries, attn.wk):
         de_h = a * (da - (a * da).sum(axis=0))
         dh_ag += np.matmul(de_h[..., None] * q[None] * scale, wk, out=dv)
+    del probs, queries, da, de_h, dv
 
     if limit > 0:
         dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
@@ -291,7 +310,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
         g[np.arange(k), thr_idx] -= g.sum(axis=1)
         d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
 
-    del v, dv, dh_ag  # free the (N, H, W, D) arrays before the scorer's backward
+    del v, dh_ag  # free the (N, H, W, D) arrays before the scorer's backward
     grads = score_mlp_backward(mlp_cache, d_c)
     return loss, grads, per_dir
 

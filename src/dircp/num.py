@@ -8,19 +8,11 @@ import numpy as np
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|); a NaN keeps its sign bit
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def sigmoid_grad_from_value(y: np.ndarray) -> np.ndarray:
-    """d sigmoid/dx expressed through the output value y = sigmoid(x)."""
-    return y * (1.0 - y)
 
 
 def canonical_sum(x: np.ndarray, axis: int) -> np.ndarray:

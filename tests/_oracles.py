@@ -6,8 +6,9 @@ the shared attention kernel) so they can serve as oracles. The exceptions are
 the former production code kept as bit-for-bit references for its batched
 replacement: dense_dsa_weights/dense_fuse run the shared kernel on every cell
 of the grid, footprint_cells_per_cell clips one cell at a time,
-observe_grid_per_vehicle runs the segment test once per target vehicle, and
-seed_cell_results_per_budget runs single at every sweep cell.
+observe_grid_per_vehicle runs the segment test once per target vehicle,
+seed_cell_results_per_budget runs single at every sweep cell, and
+soft_forward_reference rebuilds the loss from sector masks on every call.
 """
 
 from __future__ import annotations
@@ -296,7 +297,6 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
     for the soft clip and its backward, the inline attention above, and its own
     lexsort ranking. Returns (loss, grads, per_direction)."""
     from dircp.comms import per_collaborator_budget, score_mlp_backward, score_mlp_forward
-    from dircp.learn import _fused_to_pred, detection_loss, dw_loss, dw_loss_gradient
     from dircp.num import sigmoid
 
     scene = tscene.scene
@@ -332,14 +332,10 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
     m_val = attn.value_matrix()
     scale = 1.0 / math.sqrt(attn.head_dim)
 
-    pred = _fused_to_pred(fused)
-    parts = detection_loss(pred, tscene.truth, scene.sector_map, settings.n_dir,
-                           settings.lambda_off, settings.lambda_size)
-    loss = dw_loss(parts["total"], scene.mask, settings.loss_sigma)
-
-    dpred = dw_loss_gradient(pred, tscene.truth, scene.sector_map, scene.mask,
-                             settings.loss_sigma, settings.lambda_off,
-                             settings.lambda_size)
+    loss, per_dir, pred = objective_reference(fused, tscene, settings)
+    dpred = dw_loss_gradient_masks(pred, tscene.truth, scene.sector_map, scene.mask,
+                                   settings.loss_sigma, settings.lambda_off,
+                                   settings.lambda_size)
     dfused = np.zeros((h, w, d))
     p0 = pred[:, :, 0]
     dfused[:, :, 0] = dpred[:, :, 0] * p0 * (1.0 - p0)
@@ -374,7 +370,168 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
             dc_flat[thr_idx[j]] -= g.sum()
             d_c[:, :, j] += dc_flat.reshape(h, w)
 
-    return loss, score_mlp_backward(mlp_cache, d_c), parts["total"]
+    return loss, score_mlp_backward(mlp_cache, d_c), per_dir
+
+
+def sigmoid_two_branch(x):
+    """num.sigmoid as it was: each sign of x through its own exp."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out) if out.ndim == 0 else out
+
+
+def detection_loss_masks(pred, truth, sector_map, n_dir, lambda_off=1.0, lambda_size=1.0):
+    """learn.detection_loss as it was: a boolean mask per sector, built on every call."""
+    from dircp.learn import _focal_terms, regression_mask, smooth_l1
+
+    positive = truth[:, :, 0] > 0.5
+    reg_mask = regression_mask(truth)
+    focal_cells = _focal_terms(pred[:, :, 0], positive)
+    res = pred[:, :, 1:7] - truth[:, :, 1:7]
+    off_cells = smooth_l1(res[:, :, 0]) + smooth_l1(res[:, :, 1])
+    size_cells = smooth_l1(res[:, :, 2:6]).sum(axis=2)
+    focal, offset, size = np.zeros(n_dir), np.zeros(n_dir), np.zeros(n_dir)
+    n_pos = np.zeros(n_dir, dtype=np.int64)
+    for i in range(n_dir):
+        cells = sector_map == i
+        pos_i = positive & cells
+        reg_i = reg_mask & cells
+        n_pos[i] = int(pos_i.sum())
+        norm = max(1, n_pos[i])
+        focal[i] = focal_cells[cells].sum() / norm
+        offset[i] = lambda_off * off_cells[reg_i].sum() / norm
+        size[i] = lambda_size * size_cells[reg_i].sum() / norm
+    return {"focal": focal, "offset": offset, "size": size,
+            "total": focal + offset + size, "n_pos": n_pos}
+
+
+def dw_loss_gradient_masks(pred, truth, sector_map, mask, sigma, lambda_off=1.0,
+                           lambda_size=1.0):
+    """learn.dw_loss_gradient as it was: dense over every cell, coef built per sector."""
+    from dircp.learn import _focal_grad, regression_mask, smooth_l1_grad
+
+    bits = tuple(getattr(mask, "mask", mask))
+    denom = sum(bits) + sigma * len(bits)
+    positive = truth[:, :, 0] > 0.5
+    reg_mask = regression_mask(truth)
+    coef = np.zeros(pred.shape[:2])
+    for i in range(len(bits)):
+        cells = sector_map == i
+        norm = max(1, int((positive & cells).sum()))
+        coef[cells] = (bits[i] + sigma) / denom / norm
+    grad = np.zeros_like(pred)
+    grad[:, :, 0] = _focal_grad(pred[:, :, 0], positive) * coef
+    reg = smooth_l1_grad(pred[:, :, 1:7] - truth[:, :, 1:7]) * reg_mask[:, :, None] \
+        * coef[:, :, None]
+    reg[:, :, 0:2] *= lambda_off
+    reg[:, :, 2:6] *= lambda_size
+    grad[:, :, 1:7] = reg
+    return grad
+
+
+def score_mlp_forward_reference(params, q0, pe, de):
+    """comms.score_mlp_forward as it was: out-of-place layers, every activation cached."""
+    from dircp.comms import QueryConfidenceMap, _stack_inputs
+
+    x = _stack_inputs(q0, pe, de)
+    flat = x.reshape(-1, 3)
+    h1 = np.maximum(flat @ params.w1.T + params.b1, 0.0)
+    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
+    c = sigmoid_two_branch(h2 @ params.w3 + params.b3)
+    cache = {"x": flat, "h1": h1, "h2": h2, "c": c, "params": params}
+    return QueryConfidenceMap(c.reshape(x.shape[:3])), cache
+
+
+def score_mlp_backward_reference(cache, d_c):
+    """comms.score_mlp_backward as it was, on score_mlp_forward_reference's cache."""
+    from dircp.comms import ScorerParams
+
+    params = cache["params"]
+    dz3 = np.asarray(d_c, dtype=np.float64).reshape(-1) * (cache["c"] * (1.0 - cache["c"]))
+    dz2 = np.outer(dz3, params.w3) * (cache["h2"] > 0.0)
+    dz1 = (dz2 @ params.w2) * (cache["h1"] > 0.0)
+    return ScorerParams(dz1.T @ cache["x"], dz1.sum(axis=0), dz2.T @ cache["h1"],
+                        dz2.sum(axis=0), cache["h2"].T @ dz3, float(dz3.sum()))
+
+
+def objective_reference(fused_values, tscene, settings):
+    """learn._objective as it was: (loss, per-direction losses, prediction)."""
+    from dircp.learn import dw_loss
+
+    h, w, d = fused_values.shape
+    pred = np.zeros((h, w, 7))
+    pred[:, :, 0] = sigmoid_two_branch(fused_values[:, :, 0])
+    pred[:, :, 1:min(7, d)] = fused_values[:, :, 1:min(7, d)]
+    parts = detection_loss_masks(pred, tscene.truth, tscene.scene.sector_map,
+                                 settings.n_dir, settings.lambda_off, settings.lambda_size)
+    return dw_loss(parts["total"], tscene.scene.mask, settings.loss_sigma), parts["total"], pred
+
+
+def soft_forward_reference(params, tscene, budget, settings, attn=None, want_grad=True):
+    """learn.soft_forward as it was before the per-scene loss constants: the loss
+    and its gradient rebuilt from boolean sector masks, the two-branch sigmoid, the
+    out-of-place scorer MLP and the inline attention above."""
+    from dircp.comms import per_collaborator_budget, top_cells
+
+    scene = tscene.scene
+    if attn is None:
+        attn = settings.attention_params()
+    f = scene.features
+    n, h, w, d = f.shape
+    k = n - 1
+    hw = h * w
+    tau = settings.tau
+
+    qcm, mlp_cache = score_mlp_forward_reference(params, scene.q0, scene.pe, scene.de)
+    c_vals = qcm.values
+    limit = min(per_collaborator_budget(budget, h, w), hw)
+    flat = c_vals.reshape(hw, k).T
+    qs = np.zeros((k, hw))
+    if limit > 0:
+        thr_idx = top_cells(flat, limit)[:, -1]
+        qs = sigmoid_two_branch((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
+
+    h_ag = f.copy()
+    h_ag[1:] *= qs.reshape(k, h, w, 1)
+    wgt, pre, conf, probs, queries = soft_attention_weights(
+        f[0], h_ag, np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)
+    fused, v, u = soft_attention_pool(h_ag, wgt, attn, np.sum)
+    loss, per_dir, pred = objective_reference(fused, tscene, settings)
+    if not want_grad:
+        return loss, None, per_dir
+
+    dpred = dw_loss_gradient_masks(pred, tscene.truth, scene.sector_map, scene.mask,
+                                   settings.loss_sigma, settings.lambda_off,
+                                   settings.lambda_size)
+    dfused = np.zeros((h, w, d))
+    p0 = pred[:, :, 0]
+    dfused[:, :, 0] = dpred[:, :, 0] * p0 * (1.0 - p0)
+    reg = min(7, d)
+    dfused[:, :, 1:reg] += dpred[:, :, 1:reg]
+
+    du = (dfused @ attn.ffn_w2) * (u > 0.0)
+    ds = dfused + du @ attn.ffn_w1
+    dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
+    dv = wgt[..., None] * ds[None]
+    dh_ag = dv @ attn.value_matrix()
+    d_c = np.moveaxis(dwgt[1:] * pre[1:], 0, 2)
+
+    scale = 1.0 / math.sqrt(attn.head_dim)
+    da = dwgt * conf / attn.n_heads
+    for a, q, wk in zip(probs, queries, attn.wk):
+        de_h = a * (da - (a * da).sum(axis=0))
+        dh_ag += (de_h[..., None] * q[None] * scale) @ wk
+
+    if limit > 0:
+        dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
+        g = qs * (1.0 - qs) / tau * dqs
+        g[np.arange(k), thr_idx] -= g.sum(axis=1)
+        d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
+    return loss, score_mlp_backward_reference(mlp_cache, d_c), per_dir
 
 
 def stack_agents(ego, received):

@@ -136,6 +136,12 @@ class TestClipQueries:
                 len(scores), limit))
             assert np.array_equal(top_cells(scores[0], limit), expected[0])
 
+    @pytest.mark.parametrize("values", [[0.5, np.nan, np.nan, np.nan], [np.nan],
+                                        [0.2, -0.1], [1.5, 0.3], [0.4, np.inf]])
+    def test_confidence_outside_unit_interval_rejected(self, values):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            QueryConfidenceMap(np.array(values).reshape(1, -1, 1))
+
     def test_hand_top2(self):
         c = QueryConfidenceMap(np.array([[[0.9], [0.1]], [[0.4], [0.7]]]))
         q = clip_queries(c, 0.5)

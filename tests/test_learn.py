@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dircp.comms import ScorerParams
 from dircp.grid import GridSpec
 from dircp.geometry import RotatedBox
+from dircp.num import sigmoid
 from dircp.learn import (
     DegenerateWeights,
     detection_loss,
@@ -24,7 +26,20 @@ from dircp.learn import (
 from dircp.pipeline import RunSettings, prepare_scene
 from dircp.scenario import ScenarioConfig, generate
 
-from _oracles import soft_attention_pool, soft_attention_weights, soft_forward_loops
+from _oracles import (
+    detection_loss_masks,
+    dw_loss_gradient_masks,
+    objective_reference,
+    soft_attention_pool,
+    soft_attention_weights,
+    sigmoid_two_branch,
+    soft_forward_loops,
+    soft_forward_reference,
+)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
 class TestDwLoss:
@@ -116,6 +131,36 @@ class TestDetectionLoss:
         assert smooth_l1(np.array(0.5)) == 0.125
         assert smooth_l1(np.array(2.0)) == 1.5
         assert smooth_l1(np.array(-1.0)) == 0.5
+
+
+class TestLossMatchesMaskOracle:
+    def test_random_maps(self):
+        # Same bits as the per-call sector masks; the gradient may differ only in
+        # the sign of the zeros on cells with no regression target.
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            h, w = (int(v) for v in rng.integers(1, 9, 2))
+            n_dir = int(rng.integers(1, 5))
+            sector = rng.integers(0, n_dir, (h, w))
+            truth = np.zeros((h, w, 7))
+            truth[:, :, 0] = rng.uniform(size=(h, w)) < 0.3
+            truth[:, :, 1:] = rng.uniform(-1, 1, (h, w, 6))
+            truth[:, :, 3] *= rng.uniform(size=(h, w)) < 0.5
+            pred = rng.uniform(-3, 3, (h, w, 7))
+            pred[:, :, 0] = rng.uniform(0, 1, (h, w))
+            mask = tuple(int(b) for b in rng.integers(0, 2, n_dir))
+            sigma, lam_off, lam_size = (float(v) for v in rng.uniform(0.0, 2.0, 3))
+            got = detection_loss(pred, truth, sector, n_dir, lam_off, lam_size)
+            ref = detection_loss_masks(pred, truth, sector, n_dir, lam_off, lam_size)
+            for key in ("focal", "offset", "size", "total", "n_pos"):
+                assert same_bits(got[key], ref[key]), (trial, key)
+            if sum(mask) + sigma * n_dir == 0.0:
+                continue
+            grad = dw_loss_gradient(pred, truth, sector, mask, sigma, lam_off, lam_size)
+            ref_grad = dw_loss_gradient_masks(pred, truth, sector, mask, sigma,
+                                              lam_off, lam_size)
+            assert np.array_equal(grad, ref_grad), trial
+            assert same_bits(grad[:, :, 0], ref_grad[:, :, 0]), trial
 
 
 class TestDwLossGradient:
@@ -272,6 +317,68 @@ class TestSoftPathMatchesOracle:
         assert loss == ref_loss
         assert np.array_equal(per_dir, ref_per_dir)
         assert np.array_equal(grads.to_vector(), ref_grads.to_vector())
+
+
+class TestSoftForwardMatchesReference:
+    """soft_forward against its form before the per-scene loss constants, byte for byte."""
+
+    @pytest.mark.parametrize("n_heads", [2, 4])
+    @pytest.mark.parametrize("init_mode", ["identity", "random"])
+    @pytest.mark.parametrize("loss_sigma", [0.0, 0.5, 1.0])
+    def test_budgets(self, n_heads, init_mode, loss_sigma):
+        settings = tiny_settings(n_heads=n_heads, init_mode=init_mode, attn_seed=5,
+                                 loss_sigma=loss_sigma)
+        ts = tiny_scene(seed=21, n_vehicles=4, n_collaborators=3, settings=settings)
+        params = ScorerParams.random(4, seed=21, scale=0.4)
+        for budget in (0.0, 0.02, 0.2, 0.5, 1.0):
+            loss, grads, per_dir = soft_forward(params, ts, budget, settings)
+            ref_loss, ref_grads, ref_per_dir = soft_forward_reference(params, ts, budget,
+                                                                      settings)
+            assert same_bits(loss, ref_loss), budget
+            assert same_bits(per_dir, ref_per_dir), budget
+            assert same_bits(grads.to_vector(), ref_grads.to_vector()), budget
+
+    def test_train_scorer(self, monkeypatch):
+        import dircp.learn
+        settings = tiny_settings()
+        scenes = [tiny_scene(seed=s, n_vehicles=3, settings=settings) for s in (31, 32)]
+        params = ScorerParams.random(4, seed=7, scale=0.4)
+        got = train_scorer(params, scenes, 0.3, settings, learning_rate=0.5, steps=3)
+        monkeypatch.setattr(dircp.learn, "soft_forward", soft_forward_reference)
+        monkeypatch.setattr(dircp.learn, "_objective", objective_reference)
+        ref = train_scorer(params, scenes, 0.3, settings, learning_rate=0.5, steps=3)
+        assert training_log_csv(got.history) == training_log_csv(ref.history)
+        assert same_bits(got.params.to_vector(), ref.params.to_vector())
+        assert same_bits((got.hard_loss_initial, got.hard_loss_final),
+                         (ref.hard_loss_initial, ref.hard_loss_final))
+
+    def test_peak_memory_of_one_step(self):
+        # The default scene: 64 x 64 cells, the ego and 4 collaborators, D = 8. Holding
+        # every intermediate to the end of the backward took 9.76 MiB.
+        settings = RunSettings(q_max=0.2)
+        ts = make_train_scene(prepare_scene(generate(ScenarioConfig(seed=1)), settings))
+        assert ts.scene.features.shape == (5, 64, 64, 8)
+        params = ScorerParams.random(8, seed=0, scale=0.3)
+        attn = settings.attention_params()
+        soft_forward(params, ts, 0.2, settings, attn)  # builds the scene's loss constants
+        tracemalloc.start()
+        try:
+            soft_forward(params, ts, 0.2, settings, attn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_sigmoid_matches_two_branch_form():
+    rng = np.random.default_rng(6)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e-300, -1e-300]
+    x = np.concatenate([rng.normal(0, 30, 5000), rng.normal(0, 1, 5000), special])
+    assert sigmoid(x).tobytes() == sigmoid_two_branch(x).tobytes()
+    strided = x.reshape(10, -1).T  # not contiguous
+    assert sigmoid(strided).tobytes() == sigmoid_two_branch(strided).tobytes()
+    for v in special:
+        assert type(sigmoid(v)) is float and same_bits(sigmoid(v), sigmoid_two_branch(v))
 
 
 class TestTrainScorer:
