@@ -79,7 +79,7 @@ class QueryMap:
         b = np.asarray(self.bits)
         if b.ndim != 3:
             raise ShapeMismatch(f"bits must be (H, W, K), got {b.shape}")
-        if not np.isin(b, (0, 1)).all():
+        if not ((b == 0) | (b == 1)).all():
             raise ValueError("query bits must be binary")
         h, w, k = b.shape
         if int(b.sum()) > self.budget * h * w * k + 1e-9:

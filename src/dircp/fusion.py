@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,24 +261,21 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
 def _clusters(mask: np.ndarray) -> list[list[tuple[int, int]]]:
     """8-connected components of True cells, in row-major discovery order, each
     grown breadth-first from its first cell; decode's sums follow that order."""
-    h, w = mask.shape
-    seeds = np.flatnonzero(mask).tolist()
+    wp = mask.shape[1] + 2  # flat indices into the mask padded by one False cell
+    seeds = np.flatnonzero(np.pad(mask, 1)).tolist()
     unseen = set(seeds)
+    steps = [dr * wp + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     out = []
     for seed in (s for s in seeds if s in unseen):
         unseen.remove(seed)
-        queue = deque([divmod(seed, w)])
-        cluster = []
-        while queue:
-            r, c = queue.popleft()
-            cluster.append((r, c))
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and rr * w + cc in unseen:
-                        unseen.remove(rr * w + cc)
-                        queue.append((rr, cc))
-        out.append(cluster)
+        cluster = [seed]
+        for i in cluster:  # the list grows behind the loop: a breadth-first queue
+            for step in steps:
+                j = i + step
+                if j in unseen:
+                    unseen.remove(j)
+                    cluster.append(j)
+        out.append([(i // wp - 1, i % wp - 1) for i in cluster])
     return out
 
 
@@ -302,7 +298,7 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
     grid = fused.grid
     cell = grid.cell_size
     conf = sigmoid(fused.values[:, :, 0])
-    boxes = []
+    clusters, moments = [], []
     for cluster in _clusters(conf > conf_threshold):
         rr, cc = np.array(cluster).T
         pts = grid.centers[rr, cc]
@@ -312,7 +308,13 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
         centered = pts - mu
         cov = (centered.T * wts) @ centered / total
         cov += (cell * cell / 12.0) * np.eye(2)
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        clusters.append((rr, cc, mu))
+        moments.append(cov)
+    if not clusters:
+        return []
+    boxes = []
+    # One batched call: each 2x2 matrix gets the same LAPACK routine and bits.
+    for (rr, cc, mu), eigvals, eigvecs in zip(clusters, *np.linalg.eigh(np.stack(moments))):
         lam2, lam1 = float(eigvals[0]), float(eigvals[1])
         if lam1 - lam2 < 1e-12:
             axis = np.array([1.0, 0.0])
@@ -331,18 +333,25 @@ def decode(fused: FusedMap, conf_threshold: float) -> list[RotatedBox]:
 
 
 def attention_trace_csv(fused: FusedMap) -> str:
-    """CSV dump of the attention trace: row, col, agent, weight.
+    """CSV dump of the float64 attention trace: row, col, agent, weight.
 
-    numpy's repr runs once per distinct bit pattern (-0.0 and 0.0 stay apart).
+    Each weight is written as numpy's repr, made once for 0.0 and 1.0, which
+    most weights are, and once per other distinct bit pattern (-0.0 included).
     """
     trace = fused.attention_trace
     h, w, n = trace.shape
-    distinct, index = np.unique(trace.view(f"u{trace.itemsize}").ravel(),
-                                return_inverse=True)
-    texts = np.array([repr(x) for x in distinct.view(trace.dtype)], dtype=object)
+    flat = trace.ravel().astype(np.float64, copy=False)
+    one = flat == 1.0
+    other = ~one & ((flat != 0.0) | np.signbit(flat))
+    distinct, index = np.unique(flat[other].view(np.uint64), return_inverse=True)
+    values = [0.0, 1.0, *distinct.view(np.float64).tolist()]
+    texts = np.array([f"np.float64({x!r})" for x in values], dtype=object)
+    code = one.astype(np.intp)  # each weight's row of texts
+    code[other] = index + 2
     parts = np.empty((h * w, n, 3), dtype=object)
-    parts[:, :, 0] = np.array([f"\n{r},{c}," for r in range(h) for c in range(w)],
-                              dtype=object)[:, None]
+    cells = np.add.outer(np.array([f"\n{r}," for r in range(h)], dtype=object),
+                         np.array([f"{c}," for c in range(w)], dtype=object))
+    parts[:, :, 0] = cells.reshape(h * w, 1)
     parts[:, :, 1] = [f"{a}," for a in range(n)]
-    parts[:, :, 2] = texts[index.reshape(h * w, n)]
+    parts[:, :, 2] = texts[code.reshape(h * w, n)]
     return "row,col,agent,weight" + "".join(parts.ravel().tolist()) + "\n"

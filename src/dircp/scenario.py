@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -207,14 +208,16 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
     vehicles: list[RotatedBox] = []
     # Agents' unit squares, then each placed vehicle inflated by the margin.
     keep_out = [RotatedBox(1.0, ax, ay, 1.0, 1.0, 1.0, 0.0) for ax, ay in agent_points]
+    # Each attempt's x, y, roll, length, width and heading, drawn 64 attempts at
+    # a time: lo + (hi - lo) * u is Generator.uniform(lo, hi) on the same stream,
+    # and nothing draws from rng after placement.
+    lo, hi = np.array([(0.0, side), (0.0, side), (0.0, 1.0), VEHICLE_LENGTH_RANGE,
+                       VEHICLE_WIDTH_RANGE, (0.0, 2.0 * math.pi)]).T
+    draws = (row for _ in itertools.count()
+             for row in (lo + (hi - lo) * rng.random((64, 6))).tolist())
     for _ in range(config.n_vehicles):
         for attempt in range(_MAX_ATTEMPTS):
-            x = rng.uniform(0.0, side)
-            y = rng.uniform(0.0, side)
-            roll = rng.uniform()
-            length = rng.uniform(*VEHICLE_LENGTH_RANGE)
-            width = rng.uniform(*VEHICLE_WIDTH_RANGE)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
+            x, y, roll, length, width, ang = next(draws)
             weight = config.density_profile[sector_of_point(x, y, partition)]
             if roll * max_weight >= weight:
                 continue

@@ -7,8 +7,10 @@ the former production code kept as bit-for-bit references for its batched
 replacement: dense_dsa_weights/dense_fuse run the shared kernel on every cell
 of the grid, footprint_cells_per_cell clips one cell at a time,
 observe_grid_per_vehicle runs the segment test once per target vehicle,
-seed_cell_results_per_budget runs single at every sweep cell, and
-soft_forward_reference rebuilds the loss from sector masks on every call.
+seed_cell_results_per_budget runs single at every sweep cell,
+soft_forward_reference rebuilds the loss from sector masks on every call,
+canonical_sum_sort sorts with np.sort, and placement_scalar_draws draws each
+placement uniform with its own Generator.uniform call.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ from dircp.grid import GridSpec
 from dircp.num import canonical_sum, sigmoid
 from dircp.pipeline import prepare_scene
 from dircp.scenario import (
+    _MAX_ATTEMPTS,
+    PLACEMENT_MARGIN,
+    VEHICLE_LENGTH_RANGE,
+    VEHICLE_WIDTH_RANGE,
+    PlacementExhausted,
     ScenarioConfig,
     _box_arrays,
     _segments_blocked,
@@ -371,6 +378,58 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
             d_c[:, :, j] += dc_flat.reshape(h, w)
 
     return loss, score_mlp_backward(mlp_cache, d_c), per_dir
+
+
+def canonical_sum_sort(x, axis):
+    """num.canonical_sum as it was: np.sort along the axis, then np.sum."""
+    return np.sum(np.sort(x, axis=axis), axis=axis)
+
+
+def placement_scalar_draws(config):
+    """scenario.generate's collaborator and vehicle placement as it was, with six
+    scalar Generator.uniform calls per vehicle attempt: (collaborator_poses, vehicles)."""
+    rng = np.random.default_rng(np.uint64(config.seed % (2**64)))
+    side = config.area_side
+    ego = (side / 2.0, side / 2.0, 0.0)
+    partition = SectorPartition.uniform(len(config.density_profile),
+                                        frame_origin=(ego[0], ego[1]),
+                                        frame_heading=ego[2])
+    collaborators = []
+    r_lo = min(10.0, side / 2.0)
+    for _ in range(config.n_collaborators):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        radius = rng.uniform(r_lo, side / 2.0)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        collaborators.append((ego[0] + radius * math.cos(ang),
+                              ego[1] + radius * math.sin(ang), heading))
+    max_weight = max(config.density_profile)
+    vehicles = []
+    keep_out = [RotatedBox(1.0, ax, ay, 1.0, 1.0, 1.0, 0.0)
+                for ax, ay in [ego[:2]] + [p[:2] for p in collaborators]]
+    for _ in range(config.n_vehicles):
+        for _attempt in range(_MAX_ATTEMPTS):
+            x = rng.uniform(0.0, side)
+            y = rng.uniform(0.0, side)
+            roll = rng.uniform()
+            length = rng.uniform(*VEHICLE_LENGTH_RANGE)
+            width = rng.uniform(*VEHICLE_WIDTH_RANGE)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            if roll * max_weight >= config.density_profile[sector_of_point(x, y, partition)]:
+                continue
+            cand = RotatedBox.from_angle(1.0, x, y, length, width, ang)
+            if any(not (0.0 <= px <= side and 0.0 <= py <= side)
+                   for px, py in box_corners(cand)):
+                continue
+            inflated = RotatedBox(1.0, x, y, length + PLACEMENT_MARGIN,
+                                  width + PLACEMENT_MARGIN, cand.cos_a, cand.sin_a)
+            if any(intersection_area(inflated, box) > 0.0 for box in keep_out):
+                continue
+            vehicles.append(cand)
+            keep_out.append(inflated)
+            break
+        else:
+            raise PlacementExhausted(len(vehicles))
+    return tuple(collaborators), tuple(vehicles)
 
 
 def sigmoid_two_branch(x):

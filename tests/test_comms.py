@@ -217,6 +217,23 @@ def make_features(grid, seed=0):
     return BevFeatureMap(grid, rng.normal(size=(grid.h, grid.w, 8)))
 
 
+class TestQueryMapBits:
+    @pytest.mark.parametrize("bad,dtype", [(2, np.int64), (2, np.uint8), (-1, np.int64),
+                                           (0.5, np.float64), (np.nan, np.float64)])
+    def test_non_binary_bits_rejected(self, bad, dtype):
+        bits = np.zeros((2, 3, 2), dtype=dtype)
+        bits[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="binary"):
+            QueryMap(bits, 1.0)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_binary_bits_accepted(self, dtype):
+        bits = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 1]]]).astype(dtype)
+        q = QueryMap(bits, 1.0)
+        assert q.bits.dtype == np.uint8
+        assert q.bits.tolist() == bits.astype(int).tolist()
+
+
 class TestMessages:
     def test_empty_query_empty_message(self):
         grid = GridSpec(4, 4, 1.0)

@@ -42,6 +42,9 @@ from _oracles import (
 )
 
 
+DENSE = dict(n_vehicles=24, n_collaborators=8, density_profile=(0.4, 0.4, 0.1, 0.1))
+
+
 def sparse_from_dense(dense, cells):
     h, w, d = dense.shape
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
@@ -330,8 +333,7 @@ class TestGatherMatchesDense:
         assert calls == []  # the same objects: dsa_weights' gather is reused
         assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
 
-    @pytest.mark.parametrize("world", [{}, dict(n_vehicles=24, n_collaborators=8,
-                                                density_profile=(0.4, 0.4, 0.1, 0.1))])
+    @pytest.mark.parametrize("world", [{}, DENSE])
     def test_real_scenes(self, world):
         settings = RunSettings()
         scene = prepare_scene(generate(ScenarioConfig(seed=3, **world)), settings)
@@ -412,10 +414,38 @@ def fused_evidence(grid, evidence_value, cells, n_agents=1):
 
 
 class TestDecode:
-    def test_all_zero_map_empty(self):
+    def test_all_zero_map_empty(self, monkeypatch):
+        def no_eigh(a):
+            raise AssertionError(f"eigh called on a {a.shape} stack")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         grid = GridSpec(8, 8, 1.0)
         fused = fused_evidence(grid, 0.0, [])
         assert decode(fused, 0.5) == []
+
+    def test_single_cell_cluster_is_isotropic(self):
+        # One cell's covariance is cell^2/12 * I: equal eigenvalues take the
+        # fixed (1, 0) heading, next to a bar whose heading comes from its eigenvector.
+        grid = GridSpec(12, 12, 0.5)
+        fused = fused_evidence(grid, 4.0, [(2, 9)] + [(r, 3) for r in range(5, 9)])
+        boxes = decode(fused, 0.5)
+        assert [repr(b.as_tuple()) for b in boxes] == \
+            [repr(b.as_tuple()) for b in decode_per_cell(fused, 0.5)]
+        dot = next(b for b in boxes if b.cy == grid.center_of(2, 9)[1])
+        assert (dot.cos_a, dot.sin_a, dot.length, dot.width) == (1.0, 0.0, 0.25, 0.25)
+        bar = next(b for b in boxes if b is not dot)
+        assert (bar.cos_a, bar.sin_a) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_dense_world_matches_per_cell_decode(self, seed):
+        settings = RunSettings()
+        scene = prepare_scene(generate(ScenarioConfig(seed=seed, **DENSE)), settings)
+        for method in ("directed", "uniform"):
+            for budget in (0.02, 0.05, 0.2):
+                fused = run_pipeline(scene, method, budget, settings).fused
+                got = [repr(b.as_tuple()) for b in decode(fused, settings.conf_threshold)]
+                ref = decode_per_cell(fused, settings.conf_threshold)
+                assert got == [repr(b.as_tuple()) for b in ref] and got
 
     def test_two_by_four_cluster_heading(self):
         grid = GridSpec(12, 12, 1.0)
@@ -533,3 +563,16 @@ class TestTraceCsv:
         weights = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:4]]
         assert weights == [repr(np.float64(v)) for v in special[:3]]
         assert repr(np.float64(-0.0)) in text and repr(np.float64(5e-324)) in text
+
+    def test_weights_across_every_exponent(self):
+        # The text of a weight comes from the Python float's repr; numpy's repr
+        # switches to exponent form at the same 1e-4 and 1e16 bounds.
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 0x7FF0000000000000, 4 * 5 * 6, dtype=np.uint64)
+        trace = bits.view(np.float64).reshape(4, 5, 6).copy()
+        trace[0, 0] = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1.5e16, 0.0]
+        trace[0, 1] = [-0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                       np.finfo(float).max, 123456789.125]
+        fused = FusedMap(grid=GridSpec(4, 5, 1.0), values=np.zeros((4, 5, 4)),
+                         attention_trace=trace)
+        assert attention_trace_csv(fused) == attention_trace_csv_per_element(fused)

@@ -8,6 +8,8 @@ from dircp.geometry import RotatedBox, intersection_area, iou, sector_of
 from dircp.grid import GridSpec
 from dircp.learn import rasterize_truth
 from dircp.scenario import (
+    VEHICLE_LENGTH_RANGE,
+    VEHICLE_WIDTH_RANGE,
     PlacementExhausted,
     ScenarioConfig,
     UnknownAgent,
@@ -26,6 +28,7 @@ from _oracles import (
     footprint_cells_per_cell,
     observe_grid_per_blocker,
     observe_grid_per_vehicle,
+    placement_scalar_draws,
 )
 
 
@@ -179,6 +182,27 @@ class TestMatchesReference:
         assert world.vehicle_cells == ref.vehicle_cells
         assert world.per_agent_observations.dtype == ref.per_agent_observations.dtype
         assert np.array_equal(world.per_agent_observations, ref.per_agent_observations)
+
+
+class TestPlacementMatchesScalarDraws:
+    """Placement's block draws against one Generator.uniform call per value."""
+
+    @pytest.mark.parametrize("kw", [{}, DENSE])
+    def test_vehicles_and_poses(self, kw):
+        for seed in range(200):
+            cfg = ScenarioConfig(seed=seed, **kw)
+            world = generate(cfg)
+            assert (world.collaborator_poses, world.vehicles) == placement_scalar_draws(cfg)
+
+    @pytest.mark.parametrize("side", [64.0, 32.0, 12.0, 100.5])
+    def test_block_value_is_generator_uniform(self, side):
+        bounds = [(0.0, side), (0.0, side), (0.0, 1.0), VEHICLE_LENGTH_RANGE,
+                  VEHICLE_WIDTH_RANGE, (0.0, 2.0 * math.pi)]
+        lo, hi = np.array(bounds).T
+        block = (lo + (hi - lo) * np.random.default_rng(7).random((500, 6))).tolist()
+        rng = np.random.default_rng(7)
+        scalar = [[rng.uniform(a, b) for a, b in bounds] for _ in range(500)]
+        assert block == scalar
 
 
 def count_clips(monkeypatch):
