@@ -207,9 +207,12 @@ def score_reference(q0: np.ndarray, pe: np.ndarray, de: np.ndarray) -> QueryConf
 
 
 def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max(x @ w.T + b, 0), with the bias and ReLU applied in place."""
+    """max(x @ w.T + b, 0) in place. The bias goes on a view of gcd(rows, 64) rows
+    per line, so numpy runs long inner loops, not one hidden-wide loop per row."""
     out = x @ w.T
-    out += b
+    r = math.gcd(len(out), 64)
+    lines = out.reshape(-1, r * len(b))  # a view: the bias lands in out
+    lines += np.tile(b, r)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -238,15 +241,20 @@ def score_mlp_backward(cache: dict, d_c: np.ndarray) -> ScorerParams:
     dz3 = flat_dc * (cache["c"] * (1.0 - cache["c"]))  # sigmoid' from its value
     dw3 = cache["h2"].T @ dz3
     db3 = float(dz3.sum())
+    # The outer product dz3 x w3, built in long lines as in _relu_layer; einsum
+    # adds the rows in order as sum(axis=0) does, without an inner loop per row.
+    r, hidden = math.gcd(len(dz3), 64), params.hidden
+    dz2 = np.repeat(dz3, hidden).reshape(-1, r * hidden)
+    dz2 *= np.tile(params.w3, r)
+    dz2 = dz2.reshape(-1, hidden)
     # A ReLU's output is positive exactly where its input is.
-    dz2 = np.multiply.outer(dz3, params.w3)
     dz2 *= cache["h2"] > 0.0
     dw2 = dz2.T @ cache["h1"]
-    db2 = dz2.sum(axis=0)
+    db2 = np.einsum("ij->j", dz2)
     dz1 = dz2 @ params.w2
     dz1 *= cache["h1"] > 0.0
     dw1 = dz1.T @ cache["x"]
-    db1 = dz1.sum(axis=0)
+    db1 = np.einsum("ij->j", dz1)
     return ScorerParams(dw1, db1, dw2, db2, dw3, db3)
 
 
@@ -255,12 +263,28 @@ def per_collaborator_budget(q_max: float, h: int, w: int) -> int:
     return int(math.floor(q_max * h * w))
 
 
-def top_cells(scores: np.ndarray, limit: int) -> np.ndarray:
-    """Indices of the `limit` highest scores along the last axis, best first.
+def top_cells(scores: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `limit` highest scores along the last axis, as (mask, last kept index).
 
-    Ties go to the lower index: on a C-order ravel, to the earlier cell.
+    Ties go to the lower index: on a C-order ravel, to the earlier cell. The
+    last kept index is that of the limit-th best score. Comparisons with that
+    score decide every bit: the cells above it, then the first cells equal to it.
     """
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :limit]
+    n = scores.shape[-1]
+    if not 1 <= limit <= n:
+        raise ValueError(f"limit must lie in 1..{n}, got {limit}")
+    scores = np.ascontiguousarray(scores)
+    part = np.partition(scores, n - limit, axis=-1)
+    kth = part[..., n - limit, None]
+    mask = scores > kth
+    ties = scores == kth
+    # A partition puts every score above kth to its right, and any tie the
+    # limit leaves out to its left.
+    if (part[..., :n - limit] == kth).any():
+        short = limit - np.count_nonzero(part[..., n - limit:] > kth, axis=-1)[..., None]
+        ties &= np.cumsum(ties, axis=-1) <= short
+    mask |= ties
+    return mask, n - 1 - np.argmax(ties[..., ::-1], axis=-1)
 
 
 def clip_queries(c: QueryConfidenceMap, q_max: float,
@@ -283,12 +307,11 @@ def clip_queries(c: QueryConfidenceMap, q_max: float,
     else:
         scores = c.values.reshape(1, -1)  # C order is (row, col, collaborator)
         limit = int(math.floor(q_max * h * w * k))
-    chosen = top_cells(scores, limit)
-    row, rank = np.nonzero(np.take_along_axis(scores, chosen, axis=1) > 0.0)
-    # Cell i of score row j is entry i * len(scores) + j of the (H, W, K) bits.
-    bits = np.zeros(h * w * k, dtype=np.uint8)
-    bits[chosen[row, rank] * len(scores) + row] = 1
-    return QueryMap(bits.reshape(h, w, k), q_max)
+    keep = np.zeros(scores.shape, dtype=bool)
+    if limit > 0:
+        keep = top_cells(scores, limit)[0] & (scores > 0.0)
+    # In both modes keep.T lists the cells in the (H, W, K) bits' C order.
+    return QueryMap(keep.T.reshape(h, w, k), q_max)
 
 
 def build_message(query: QueryMap, sender_features: BevFeatureMap, sender: int,

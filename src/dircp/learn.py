@@ -264,7 +264,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     flat = c_vals.reshape(hw, k).T
     qs = np.zeros((k, hw))
     if limit > 0:
-        thr_idx = top_cells(flat, limit)[:, -1]
+        thr_idx = top_cells(flat, limit)[1]
         qs = sigmoid((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
 
     h_ag = f.copy()

@@ -9,8 +9,11 @@ of the grid, footprint_cells_per_cell clips one cell at a time,
 observe_grid_per_vehicle runs the segment test once per target vehicle,
 seed_cell_results_per_budget runs single at every sweep cell,
 soft_forward_reference rebuilds the loss from sector masks on every call,
-canonical_sum_sort sorts with np.sort, and placement_scalar_draws draws each
-placement uniform with its own Generator.uniform call.
+canonical_sum_sort sorts with np.sort, placement_scalar_draws draws each
+placement uniform with its own Generator.uniform call, top_cells_sort and
+clip_queries_sort rank with a full stable argsort, and relu_layer_row_bias and
+score_mlp_backward_outer run their bias adds, outer product and column sums
+one hidden-wide row at a time.
 """
 
 from __future__ import annotations
@@ -517,6 +520,57 @@ def score_mlp_backward_reference(cache, d_c):
                         dz2.sum(axis=0), cache["h2"].T @ dz3, float(dz3.sum()))
 
 
+def relu_layer_row_bias(x, w, b):
+    """comms._relu_layer as it was: the bias broadcast over (rows, hidden)."""
+    out = x @ w.T
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+def score_mlp_backward_outer(cache, d_c):
+    """comms.score_mlp_backward as it was: np.multiply.outer and sum(axis=0)."""
+    from dircp.comms import ScorerParams
+
+    params = cache["params"]
+    flat_dc = np.asarray(d_c, dtype=np.float64).reshape(-1)
+    dz3 = flat_dc * (cache["c"] * (1.0 - cache["c"]))
+    dw3 = cache["h2"].T @ dz3
+    db3 = float(dz3.sum())
+    dz2 = np.multiply.outer(dz3, params.w3)
+    dz2 *= cache["h2"] > 0.0
+    dw2 = dz2.T @ cache["h1"]
+    db2 = dz2.sum(axis=0)
+    dz1 = dz2 @ params.w2
+    dz1 *= cache["h1"] > 0.0
+    dw1 = dz1.T @ cache["x"]
+    db1 = dz1.sum(axis=0)
+    return ScorerParams(dw1, db1, dw2, db2, dw3, db3)
+
+
+def top_cells_sort(scores, limit):
+    """comms.top_cells as it was: indices of the `limit` best scores along the
+    last axis, best first, ties to the lower index."""
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :limit]
+
+
+def clip_queries_sort(c, q_max, tie_break="per_collaborator"):
+    """comms.clip_queries as it was, on top_cells_sort's ranking; the bits as uint8."""
+    from dircp.comms import per_collaborator_budget
+
+    h, w, k = c.values.shape
+    if tie_break == "per_collaborator":
+        scores = c.values.reshape(h * w, k).T
+        limit = per_collaborator_budget(q_max, h, w)
+    else:
+        scores = c.values.reshape(1, -1)
+        limit = int(math.floor(q_max * h * w * k))
+    chosen = top_cells_sort(scores, limit)
+    row, rank = np.nonzero(np.take_along_axis(scores, chosen, axis=1) > 0.0)
+    bits = np.zeros(h * w * k, dtype=np.uint8)
+    bits[chosen[row, rank] * len(scores) + row] = 1
+    return bits.reshape(h, w, k)
+
+
 def objective_reference(fused_values, tscene, settings):
     """learn._objective as it was: (loss, per-direction losses, prediction)."""
     from dircp.learn import dw_loss
@@ -534,7 +588,7 @@ def soft_forward_reference(params, tscene, budget, settings, attn=None, want_gra
     """learn.soft_forward as it was before the per-scene loss constants: the loss
     and its gradient rebuilt from boolean sector masks, the two-branch sigmoid, the
     out-of-place scorer MLP and the inline attention above."""
-    from dircp.comms import per_collaborator_budget, top_cells
+    from dircp.comms import per_collaborator_budget
 
     scene = tscene.scene
     if attn is None:
@@ -551,7 +605,7 @@ def soft_forward_reference(params, tscene, budget, settings, attn=None, want_gra
     flat = c_vals.reshape(hw, k).T
     qs = np.zeros((k, hw))
     if limit > 0:
-        thr_idx = top_cells(flat, limit)[:, -1]
+        thr_idx = top_cells_sort(flat, limit)[:, -1]
         qs = sigmoid_two_branch((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
 
     h_ag = f.copy()

@@ -3,6 +3,7 @@ import pytest
 
 from dircp.comms import (
     HEADER_SIZE,
+    TIE_BREAKS,
     BudgetLedger,
     FeatureMessage,
     MalformedMessage,
@@ -10,6 +11,7 @@ from dircp.comms import (
     QueryMap,
     ScorerParams,
     ShapeMismatch,
+    _relu_layer,
     build_message,
     clip_queries,
     deserialize,
@@ -24,8 +26,25 @@ from dircp.comms import (
 )
 from dircp.features import BevFeatureMap
 from dircp.grid import GridSpec
+from dircp.pipeline import RunSettings, prepare_scene, score_scene
+from dircp.scenario import ScenarioConfig, generate
 
-from _oracles import pack_message
+from _oracles import (
+    clip_queries_sort,
+    pack_message,
+    relu_layer_row_bias,
+    score_mlp_backward_outer,
+    top_cells_sort,
+)
+
+
+DENSE = dict(n_vehicles=24, n_collaborators=8, density_profile=(0.4, 0.4, 0.1, 0.1))
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and +0.0 differ, so np.signbit agrees too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_inputs(rng, h=6, w=6, k=3):
@@ -118,6 +137,35 @@ class TestScoreMlp:
             denom = max(abs(fd), abs(flat_g[i]), 1e-8)
             assert abs(fd - flat_g[i]) / denom < 1e-4
 
+    @pytest.mark.parametrize("hidden", [1, 3, 8, 16])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 1, 1), (48, 48, 5), (64, 64, 4)],
+                             ids=["rows1", "rows7", "rows11520", "rows16384"])
+    @pytest.mark.parametrize("d_c_kind", ["signed_zeros", "all_negative_zero"])
+    def test_mlp_matches_row_loops(self, hidden, shape, d_c_kind):
+        rng = np.random.default_rng(hidden * 7919 + shape[0])
+        q0, pe = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+        de = (rng.uniform(0, 1, shape[:2]) < 0.6).astype(float)
+        params = ScorerParams.random(hidden, seed=shape[0])
+        # Unit 0 of each layer is dead on every row: its gradient column is all zeros.
+        params.b1[0] = params.b2[0] = -1e3
+        c, cache = score_mlp_forward(params, q0, pe, de)
+        h1 = relu_layer_row_bias(cache["x"], params.w1, params.b1)
+        assert same_bits(cache["h1"], h1)
+        assert same_bits(cache["h2"], relu_layer_row_bias(h1, params.w2, params.b2))
+        assert same_bits(_relu_layer(cache["x"], params.w1, params.b1), h1)
+        assert not cache["h1"][:, 0].any() and not cache["h2"][:, 0].any()
+        if d_c_kind == "signed_zeros":
+            d_c = rng.normal(size=shape)
+            u = rng.uniform(0, 1, shape)
+            d_c[u < 0.2] = 0.0
+            d_c[u > 0.8] = -0.0
+        else:
+            d_c = np.full(shape, -0.0)
+        got = score_mlp_backward(cache, d_c)
+        ref = score_mlp_backward_outer(cache, d_c)
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            assert same_bits(getattr(got, name), getattr(ref, name)), name
+
     def test_vector_round_trip(self):
         p = ScorerParams.random(5, seed=11)
         q = ScorerParams.from_vector(p.to_vector(), 5)
@@ -130,11 +178,20 @@ class TestClipQueries:
         rng = np.random.default_rng(13)
         for _ in range(50):
             scores = rng.integers(0, 4, (int(rng.integers(1, 5)), 37)) / 3.0
-            limit = int(rng.integers(0, 38))
+            limit = int(rng.integers(1, 38))
             expected = [np.lexsort((np.arange(37), -row))[:limit] for row in scores]
-            assert np.array_equal(top_cells(scores, limit), np.array(expected).reshape(
-                len(scores), limit))
-            assert np.array_equal(top_cells(scores[0], limit), expected[0])
+            mask, last = top_cells(scores, limit)
+            for kept, order in zip(mask, expected):
+                assert np.array_equal(np.flatnonzero(kept), np.sort(order))
+            assert np.array_equal(last, [order[-1] for order in expected])
+            mask, last = top_cells(scores[0], limit)
+            assert np.array_equal(np.flatnonzero(mask), np.sort(expected[0]))
+            assert last == expected[0][-1]
+
+    @pytest.mark.parametrize("limit", [-1, 0, 38])
+    def test_top_cells_rejects_limit_outside_range(self, limit):
+        with pytest.raises(ValueError, match="limit"):
+            top_cells(np.zeros((2, 37)), limit)
 
     @pytest.mark.parametrize("values", [[0.5, np.nan, np.nan, np.nan], [np.nan],
                                         [0.2, -0.1], [1.5, 0.3], [0.4, np.inf]])
@@ -210,6 +267,57 @@ class TestClipQueries:
         c = QueryConfidenceMap(rng.uniform(0, 1, (5, 5, 3)))
         bits = clip_queries(c, 0.2, tie_break="global").bits
         assert bits.sum() <= int(0.2 * 5 * 5 * 3)
+
+
+def tied_scores(rng, n):
+    """Five score rows in [0, 1] for n cells: half 0.0, signed zeros, few repeated
+    values, all equal, and distinct values."""
+    return np.array([np.where(rng.uniform(0, 1, n) < 0.5, 0.0, rng.integers(1, 5, n) / 4.0),
+                     rng.choice([0.0, -0.0, 0.5], n),
+                     rng.integers(0, 3, n) / 2.0,
+                     np.full(n, 0.25),
+                     rng.uniform(0, 1, n)])
+
+
+class TestTopCellsMatchesSort:
+    @pytest.mark.parametrize("n", [1, 2, 7, 37, 64])
+    def test_mask_and_last_index_at_every_limit(self, n):
+        rng = np.random.default_rng(n)
+        rows = tied_scores(rng, n)
+        # One row per collaborator, and every cell in one row as the global mode ranks.
+        for scores in (rows, rows.T.reshape(1, -1)):
+            for limit in range(1, scores.shape[1] + 1):
+                mask, last = top_cells(scores, limit)
+                order = top_cells_sort(scores, limit)
+                expected = np.zeros(scores.shape, dtype=bool)
+                np.put_along_axis(expected, order, True, axis=1)
+                assert np.array_equal(mask, expected)
+                assert np.array_equal(last, order[:, -1])
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_clip_on_tied_scores(self, tie_break):
+        rng = np.random.default_rng(21)
+        for n in (1, 6, 36):
+            c = QueryConfidenceMap(tied_scores(rng, n).T.reshape(n, 1, 5))
+            for q_max in np.linspace(0.0, 1.0, 2 * n + 1):
+                assert same_bits(clip_queries(c, q_max, tie_break).bits,
+                                 clip_queries_sort(c, q_max, tie_break))
+
+    @pytest.mark.parametrize("world", [{}, DENSE], ids=["default", "dense"])
+    def test_clip_on_world_scores(self, world):
+        settings = RunSettings()
+        for seed in (0, 11):
+            scene = prepare_scene(generate(ScenarioConfig(seed=seed, **world)), settings)
+            maps = {"directed": score_scene(scene, settings, scene.de, None),
+                    "uniform": score_scene(scene, settings, np.ones_like(scene.de), None),
+                    "mlp": score_scene(scene, settings, scene.de,
+                                       ScorerParams.random(8, seed=seed))}
+            for name, c in maps.items():
+                for q_max in (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+                    for tie_break in TIE_BREAKS:
+                        assert same_bits(clip_queries(c, q_max, tie_break).bits,
+                                         clip_queries_sort(c, q_max, tie_break)), \
+                            (seed, name, q_max, tie_break)
 
 
 def make_features(grid, seed=0):
