@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except (PlacementExhausted, DivergedTraining, OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"runtime error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

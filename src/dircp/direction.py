@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,8 +86,9 @@ def compute_mask(ds: DirectionScores, sigma1: float, sigma2: float) -> Direction
     return DirectionMask(tuple(bits), sigma1, sigma2, ds)
 
 
+@lru_cache(maxsize=4)
 def cell_sector_map(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
-    """(H, W) int map: ``sector_of_point`` of each cell center, all cells at once."""
+    """(H, W) int map: ``sector_of_point`` of each cell center; memoized, read-only."""
     # math.atan2 keeps the angles bit-equal to it; numpy's SIMD arctan2 is not.
     dx, dy = (grid.centers - np.asarray(partition.frame_origin)).transpose(2, 0, 1)
     atan = np.array(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())))
@@ -99,6 +101,7 @@ def cell_sector_map(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
         snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
         sectors[snap] = i
     sectors[(dx == 0.0) & (dy == 0.0)] = 0
+    sectors.setflags(write=False)
     return sectors
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,11 +64,12 @@ def densify(sparse: SparseFeatureMap) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
 def positional_channels(grid: GridSpec, n_channels: int) -> np.ndarray:
     """Fixed sinusoidal cell features: sin/cos over x then y, doubling frequency.
 
     Channel j is sin(2 pi f u + phase) with u the normalized x (j mod 4 < 2) or
-    y coordinate, phase pi/2 for the cos variants, f = 2**(j // 4).
+    y coordinate, phase pi/2 for the cos variants, f = 2**(j // 4). Read-only.
     """
     out = np.empty((grid.h, grid.w, n_channels), dtype=np.float64)
     ux = (np.arange(grid.w) + 0.5) / grid.w
@@ -81,6 +83,7 @@ def positional_channels(grid: GridSpec, n_channels: int) -> np.ndarray:
         else:
             col = np.sin(2.0 * math.pi * freq * uy + phase)
             out[:, :, j] = np.broadcast_to(col[:, None], (grid.h, grid.w))
+    out.setflags(write=False)
     return out
 
 

@@ -28,7 +28,7 @@ from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
 from .pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
-from .scenario import ScenarioConfig, _footprint_cells, generate
+from .scenario import ScenarioConfig, _footprints, generate
 
 FOCAL_ALPHA = 2.0
 _P_EPS = 1e-7
@@ -55,7 +55,7 @@ def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
     """
     out = np.zeros((grid.h, grid.w, 7), dtype=np.float64)
     if footprints is None:
-        footprints = [_footprint_cells(box, grid) for box in boxes]
+        footprints = _footprints(boxes, grid)
     for box, cells in zip(boxes, footprints):
         for r, c in cells:
             out[r, c, 0] = 1.0

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,13 +69,21 @@ class RunSettings:
         return default_sigma1(self.n_dir) if self.sigma1 is None else self.sigma1
 
     def attention_params(self) -> AttentionParams:
-        if self.init_mode == "identity":
-            return AttentionParams.identity(self.d_channels, self.n_heads,
-                                            self.d_ff, qk_scale=self.qk_scale)
-        if self.init_mode == "random":
-            return AttentionParams.random(self.d_channels, self.n_heads,
-                                          self.d_ff, seed=self.attn_seed)
-        raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        """Memoized on the fields it reads; its arrays are read-only."""
+        return _attention_params(self.init_mode, self.d_channels, self.n_heads,
+                                 self.d_ff, self.qk_scale, self.attn_seed)
+
+
+@lru_cache(maxsize=8)
+def _attention_params(init_mode, d_channels, n_heads, d_ff, qk_scale, attn_seed):
+    if init_mode not in INIT_MODES:
+        raise ValueError(f"unknown init_mode {init_mode!r}")
+    params = (AttentionParams.identity(d_channels, n_heads, d_ff, qk_scale=qk_scale)
+              if init_mode == "identity" else
+              AttentionParams.random(d_channels, n_heads, d_ff, seed=attn_seed))
+    for f in fields(params)[1:]:  # the arrays after n_heads
+        getattr(params, f.name).setflags(write=False)
+    return params
 
 
 @dataclass(frozen=True)

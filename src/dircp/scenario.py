@@ -52,8 +52,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (-(2**63) <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if not (math.isfinite(self.area_side) and self.area_side > 0):
-            raise ValueError("area_side must be positive and finite")
+        for name in ("area_side", "sensor_range"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value * value)):
+                raise ValueError(f"{name} must be positive, with a finite square")
         if self.n_collaborators < 0:
             raise ValueError("n_collaborators must be >= 0")
         if self.n_vehicles < 1:
@@ -63,8 +65,6 @@ class ScenarioConfig:
             raise ValueError("density_profile needs non-negative weights, not all zero")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError("dropout_prob must lie in [0, 1]")
-        if not (math.isfinite(self.sensor_range) and self.sensor_range > 0):
-            raise ValueError("sensor_range must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -117,35 +117,44 @@ def cell_dropout_uniforms(seed: int, agent_index: int, h: int, w: int) -> np.nda
     return (key >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def _footprint_cells(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
-    """Cells whose squares overlap the box with positive area.
+def _footprints(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
+    """Cells whose squares overlap each box with positive area, row-major per box.
 
     depth is the shortest overlap (negative: the widest gap) of the cell's and
-    the box's projections on the cell axes and the box's heading and normal.
+    the box's projections on the cell axes and the box's heading and normal,
+    capped at the shortest side of the two (one projection inside the other).
     Above 1e-5 m the shared area is of order depth^2, far above 1e-12, so the
     cell is kept; below -1e-5 m it is dropped; the rest go through the clip.
     """
-    xs, ys = zip(*box_corners(box))
-    r0, c0 = grid.cell_of(min(xs), min(ys))
-    r1, c1 = grid.cell_of(max(xs), max(ys))
-    rows, cols = np.reshape(np.meshgrid(np.arange(max(r0, 0), min(r1, grid.h - 1) + 1),
-                                        np.arange(max(c0, 0), min(c1, grid.w - 1) + 1),
-                                        indexing="ij"), (2, -1))
-    dx, dy = np.moveaxis(grid.centers[rows, cols] - (box.cx, box.cy), -1, 0)
-    c, s = box.cos_a, box.sin_a
-    hl, hw, hc = 0.5 * box.length, 0.5 * box.width, 0.5 * grid.cell_size
+    spans = []
+    for box in boxes:
+        xs, ys = zip(*box_corners(box))
+        r0, c0 = grid.cell_of(min(xs), min(ys))
+        r1, c1 = grid.cell_of(max(xs), max(ys))
+        spans.append((max(r0, 0), max(c0, 0), min(r1 + 1, grid.h), min(c1 + 1, grid.w)))
+    r0, c0, r1, c1 = np.array(spans, dtype=np.intp).reshape(-1, 4).T
+    n_cols = np.maximum(c1 - c0, 0)
+    counts = np.maximum(r1 - r0, 0) * n_cols
+    owner = np.repeat(np.arange(len(spans)), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows, cols = r0[owner] + k // n_cols[owner], c0[owner] + k % n_cols[owner]
+    bx, by, c, s, hl, hw = _box_arrays(boxes)[:, owner, 0]
+    dx, dy = np.moveaxis(grid.centers[rows, cols], -1, 0) - (bx, by)
+    hc = 0.5 * grid.cell_size
     reach = hc * (abs(c) + abs(s))  # the cell's half-extent along heading and normal
     depth = np.minimum.reduce([hl * abs(c) + hw * abs(s) + hc - np.abs(dx),
                                hl * abs(s) + hw * abs(c) + hc - np.abs(dy),
                                hl + reach - np.abs(dx * c + dy * s),
-                               hw + reach - np.abs(dy * c - dx * s)])
-    depth = np.minimum(depth, 2.0 * min(hl, hw, hc))  # one projection inside the other
+                               hw + reach - np.abs(dy * c - dx * s),
+                               2.0 * np.minimum(np.minimum(hl, hw), hc)])
     keep = depth > 1e-5
     for i in np.flatnonzero(np.abs(depth) <= 1e-5).tolist():
         cx, cy = grid.center_of(int(rows[i]), int(cols[i]))
         cell_box = RotatedBox(1.0, cx, cy, grid.cell_size, grid.cell_size, 1.0, 0.0)
-        keep[i] = intersection_area(box, cell_box) > 1e-12
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+        keep[i] = intersection_area(boxes[owner[i]], cell_box) > 1e-12
+    kept = list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    ends = np.cumsum(np.bincount(owner[keep], minlength=len(spans))).tolist()
+    return [kept[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _box_arrays(boxes) -> np.ndarray:
@@ -238,7 +247,7 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
             raise PlacementExhausted(
                 f"could not place vehicle {len(vehicles)} after {_MAX_ATTEMPTS} attempts")
 
-    vehicle_cells = tuple(tuple(_footprint_cells(v, grid)) for v in vehicles)
+    vehicle_cells = tuple(map(tuple, _footprints(vehicles, grid)))
     observations = np.zeros((len(agent_points), grid.h, grid.w), dtype=np.uint8)
     arrays = _world_arrays(grid, vehicles, vehicle_cells)
     for agent, pos in enumerate(agent_points):

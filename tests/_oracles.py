@@ -153,7 +153,7 @@ def clip_area(a: RotatedBox, b: RotatedBox) -> float:
 
 
 def footprint_cells_per_cell(box: RotatedBox, grid: GridSpec) -> list[tuple[int, int]]:
-    """scenario._footprint_cells as one polygon clip per cell of the box's range."""
+    """scenario._footprints of one box as one polygon clip per cell of its range."""
     xs, ys = zip(*box_corners(box))
     r0, c0 = grid.cell_of(min(xs), min(ys))
     r1, c1 = grid.cell_of(max(xs), max(ys))
@@ -165,6 +165,11 @@ def footprint_cells_per_cell(box: RotatedBox, grid: GridSpec) -> list[tuple[int,
             if intersection_area(box, cell_box) > 1e-12:
                 cells.append((r, c))
     return cells
+
+
+def footprints_per_cell(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
+    """scenario._footprints as footprint_cells_per_cell on each box in turn."""
+    return [footprint_cells_per_cell(box, grid) for box in boxes]
 
 
 def observe_grid_per_vehicle(config: ScenarioConfig, grid: GridSpec, vehicles,

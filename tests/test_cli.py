@@ -1,6 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dircp
 from dircp.cli import main
 from dircp.comms import ScorerParams
 from dircp.config import SCHEMA, ConfigError, effective_config_text, load_config
@@ -198,6 +205,38 @@ def test_bad_config_value_exit_2_names_key(tmp_path, capsys, key, value, extra):
                     f"[output]\ndirectory = {tmp_path}\n", encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+ADDRESS_SPACE = 2 * 1024**3  # bytes: the child fails a large allocation, not the host
+
+
+def run_cli_capped(tmp_path, config_text):
+    """``dircp run`` on a config in a child process held to ADDRESS_SPACE."""
+    path = tmp_path / "capped.cfg"
+    path.write_text(f"{config_text}[output]\ndirectory = {tmp_path / 'out'}\n",
+                    encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(dircp.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "dircp.cli", "run", str(path)], env=env, timeout=120,
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (ADDRESS_SPACE, ADDRESS_SPACE)))
+
+
+@pytest.mark.parametrize("key", ["area_side", "sensor_range"])
+def test_length_with_an_infinite_square_exit_2(tmp_path, key):
+    proc = run_cli_capped(tmp_path, f"[scenario]\n{key} = 1e308\n")
+    assert proc.returncode == 2
+    assert f"scenario.{key}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_exit_3_in_one_line(tmp_path):
+    # (5, 64, 64, 100000) float64 features: 15.3 GiB, far above the cap.
+    proc = run_cli_capped(tmp_path, "[grid]\nd = 100000\n")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("runtime error: out of memory")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 BAD_FLAGS = [

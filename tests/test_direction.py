@@ -204,6 +204,37 @@ class TestCellSectorMap:
         assert np.array_equal(got, cell_sector_map_loop(part, self.grid))
 
 
+class TestCellSectorMapMemoized:
+    grid = GridSpec(16, 16, 1.0)
+
+    @pytest.mark.parametrize("boundaries,heading", [
+        (((0.0, 30.0), (30.0, 135.0), (135.0, 200.5), (200.5, 360.0)), 0.0),
+        (SectorPartition.uniform(4).boundaries, 1e-18),
+    ])
+    def test_cached_map_equals_loop_and_is_read_only(self, boundaries, heading):
+        part = SectorPartition(4, boundaries, (8.5, 8.5), heading)
+        first = cell_sector_map(part, self.grid)
+        again = cell_sector_map(SectorPartition(4, boundaries, (8.5, 8.5), heading),
+                                GridSpec(16, 16, 1.0))
+        assert again is first
+        assert np.array_equal(first, cell_sector_map_loop(part, self.grid))
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_cache_is_bounded(self):
+        maxsize = cell_sector_map.cache_info().maxsize
+        assert maxsize is not None and maxsize * 64 * 64 * 8 <= 512 * 1024
+        for k in range(maxsize + 2):
+            cell_sector_map(SectorPartition.uniform(4, (8.0 + k, 8.0)), self.grid)
+        assert cell_sector_map.cache_info().currsize == maxsize
+
+    def test_worlds_of_one_config_share_the_map(self):
+        settings = RunSettings()
+        a, b = (prepare_scene(generate(ScenarioConfig(seed=seed)), settings)
+                for seed in (5, 6))
+        assert a.sector_map is b.sector_map
+
+
 class TestPrepareSceneSectorMap:
     def test_one_map_per_scene_and_embedding_reads_it(self, monkeypatch):
         calls = []

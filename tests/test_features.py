@@ -61,6 +61,24 @@ class TestEncode:
             assert pos[r, c, 3] == pytest.approx(math.sin(2 * math.pi * uy + math.pi / 2))
             assert pos[r, c, 4] == pytest.approx(math.sin(4 * math.pi * ux))
 
+    def test_positional_channels_memoized_and_read_only(self):
+        pos = positional_channels(GridSpec(16, 16, 1.0), 6)
+        assert positional_channels(GridSpec(16, 16, 1.0), 6) is pos
+        with pytest.raises(ValueError):
+            pos[0, 0, 0] = 1.0
+        # encode copies the shared array into each agent's own, writable values.
+        a, b = (encode(np.zeros((16, 16)), 8, GRID, xy, 10.0) for xy in ((1, 2), (3, 4)))
+        assert np.array_equal(a.values[:, :, 2:], pos) and a.values.flags.writeable
+        assert not np.shares_memory(a.values, pos) and not np.shares_memory(a.values, b.values)
+
+    def test_positional_channels_cache_is_bounded(self):
+        maxsize = positional_channels.cache_info().maxsize
+        assert maxsize is not None
+        assert maxsize * positional_channels(GridSpec(64, 64, 1.0), 6).nbytes <= 512 * 1024
+        for n in range(1, maxsize + 3):
+            positional_channels(GRID, n)
+        assert positional_channels.cache_info().currsize == maxsize
+
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):
             encode(np.zeros((16, 16)), 1, GRID, (0, 0), 10.0)

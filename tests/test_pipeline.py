@@ -1,7 +1,11 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from dircp import pipeline
 from dircp.comms import build_message, serialize
+from dircp.fusion import AttentionParams
 from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
 from dircp.scenario import ScenarioConfig, generate
 
@@ -36,3 +40,44 @@ def test_directed_reference_run_sends_nothing_into_masked_off_sectors(world_name
         assert result.ledger.messages == len(sent)
         assert result.ledger.total_entries == int(bits.sum())
         assert result.ledger.total_bytes == sum(len(payload) for payload in sent)
+
+
+class TestAttentionParamsMemoized:
+    @pytest.mark.parametrize("kw", [
+        {}, dict(n_heads=4), dict(qk_scale=0.5, d_ff=3), dict(d_channels=6, attn_seed=9),
+        dict(init_mode="random", attn_seed=7),
+        dict(init_mode="random", n_heads=4, d_ff=5, attn_seed=3, qk_scale=2.0),
+    ])
+    def test_equals_a_fresh_build_and_is_read_only(self, kw):
+        settings = RunSettings(**kw)
+        got = settings.attention_params()
+        if settings.init_mode == "identity":
+            ref = AttentionParams.identity(settings.d_channels, settings.n_heads,
+                                           settings.d_ff, qk_scale=settings.qk_scale)
+        else:
+            ref = AttentionParams.random(settings.d_channels, settings.n_heads,
+                                         settings.d_ff, seed=settings.attn_seed)
+        assert got.n_heads == ref.n_heads
+        for f in fields(ref)[1:]:
+            arr, want = getattr(got, f.name), getattr(ref, f.name)
+            assert arr.dtype == want.dtype and arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        assert RunSettings(**kw).attention_params() is got
+        assert replace(settings, loss_sigma=0.25, q_max=0.5).attention_params() is got
+
+    def test_a_field_it_reads_gets_its_own_entry(self):
+        settings = RunSettings(init_mode="random", attn_seed=1)
+        other = replace(settings, attn_seed=2).attention_params()
+        assert other is not settings.attention_params()
+        assert other.wq.tobytes() != settings.attention_params().wq.tobytes()
+
+    def test_cache_is_bounded_and_unknown_mode_raises(self):
+        maxsize = pipeline._attention_params.cache_info().maxsize
+        assert maxsize is not None
+        for seed in range(maxsize + 2):
+            RunSettings(init_mode="random", attn_seed=100 + seed).attention_params()
+        assert pipeline._attention_params.cache_info().currsize == maxsize
+        with pytest.raises(ValueError, match="init_mode"):
+            RunSettings(init_mode="orthogonal").attention_params()

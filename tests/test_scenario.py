@@ -13,7 +13,7 @@ from dircp.scenario import (
     PlacementExhausted,
     ScenarioConfig,
     UnknownAgent,
-    _footprint_cells,
+    _footprints,
     _observe_grid,
     cell_dropout_uniforms,
     export_scene,
@@ -26,6 +26,7 @@ from dircp.scenario import (
 from _oracles import (
     clip_area,
     footprint_cells_per_cell,
+    footprints_per_cell,
     observe_grid_per_blocker,
     observe_grid_per_vehicle,
     placement_scalar_draws,
@@ -57,6 +58,12 @@ class TestConfig:
     def test_non_finite_lengths_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["area_side", "sensor_range"])
+    def test_lengths_with_infinite_squares_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive, with a finite square"):
+            ScenarioConfig(**{field: 1e308})
+        ScenarioConfig(**{field: 1e154})
 
 
 class TestGenerate:
@@ -95,6 +102,18 @@ class TestGenerate:
             generate(ScenarioConfig(seed=1, area_side=12.0, n_collaborators=0,
                                     n_vehicles=40, sensor_range=10.0))
 
+    @pytest.mark.parametrize("seed,kw", [(1, dict(area_side=12.0, n_collaborators=0)),
+                                         (2, dict(area_side=20.0, n_collaborators=3))])
+    def test_placement_exhausted_at_the_reference_vehicle(self, seed, kw):
+        cfg = ScenarioConfig(seed=seed, n_vehicles=40, sensor_range=10.0, **kw)
+        with pytest.raises(PlacementExhausted) as ref:
+            placement_scalar_draws(cfg)
+        placed = ref.value.args[0]
+        assert placed > 0
+        with pytest.raises(PlacementExhausted) as got:
+            generate(cfg)
+        assert str(got.value) == f"could not place vehicle {placed} after 10000 attempts"
+
     def test_ego_heading_plus_x_at_center(self):
         world = generate(small_config())
         assert world.ego_pose == (16.0, 16.0, 0.0)
@@ -130,7 +149,7 @@ class TestObserve:
         near = RotatedBox(1.0, 10.0, 16.0, 4.0, 2.0, 1.0, 0.0)
         far = RotatedBox(1.0, 20.0, 16.0, 4.0, 2.0, 1.0, 0.0)
         vehicles = [near, far]
-        cells = [tuple(_footprint_cells(v, grid)) for v in vehicles]
+        cells = [tuple(c) for c in _footprints(vehicles, grid)]
         ev = _observe_grid(cfg, grid, vehicles, cells, (2.0, 16.0), 0)
         assert all(ev[r, c] == 1 for r, c in cells[0])
         assert all(ev[r, c] == 0 for r, c in cells[1])
@@ -162,7 +181,8 @@ DENSE = dict(n_vehicles=24, n_collaborators=8, density_profile=(0.4, 0.4, 0.1, 0
 
 class TestMatchesReference:
     """generate against itself with the per-blocker occlusion loop, the per-cell
-    footprint clip and the unrejected polygon clip patched in.
+    footprint clip and the unrejected polygon clip of every keep-out pair
+    patched in, so the reference runs none of the batched code.
     """
 
     @pytest.mark.parametrize("seed,kw", [
@@ -175,7 +195,7 @@ class TestMatchesReference:
         cfg = ScenarioConfig(seed=seed, **kw)
         world = generate(cfg)
         monkeypatch.setattr(scenario, "_observe_grid", observe_grid_per_blocker)
-        monkeypatch.setattr(scenario, "_footprint_cells", footprint_cells_per_cell)
+        monkeypatch.setattr(scenario, "_footprints", footprints_per_cell)
         monkeypatch.setattr(scenario, "intersection_area", clip_area)
         ref = generate(cfg)
         assert world.vehicles == ref.vehicles
@@ -206,7 +226,7 @@ class TestPlacementMatchesScalarDraws:
 
 
 def count_clips(monkeypatch):
-    """Count the polygon clips _footprint_cells falls back to."""
+    """Count the polygon clips _footprints falls back to."""
     calls = []
 
     def counted(a, b):
@@ -218,10 +238,11 @@ def count_clips(monkeypatch):
 
 
 class TestFootprintCells:
-    """The separating-axis footprint against the per-cell clip it replaced."""
+    """The separating-axis footprint, one box at a time unless stated, against
+    the per-cell clip it replaced."""
 
     def assert_matches(self, box, grid):
-        got = _footprint_cells(box, grid)
+        [got] = _footprints([box], grid)
         assert got == footprint_cells_per_cell(box, grid)
         assert all(type(r) is int and type(c) is int for r, c in got)
         return got
@@ -285,7 +306,26 @@ class TestFootprintCells:
         for cx, cy in ((2.5, 4.0), (11.8, 7.9), (-5.0, 4.0), (6.0, 30.0)):
             for ang in (0.0, 0.3, math.pi / 4):
                 self.assert_matches(RotatedBox.from_angle(1.0, cx, cy, 4.5, 1.8, ang), grid)
-        assert _footprint_cells(RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0), grid) == []
+        assert _footprints([RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0)], grid) == [[]]
+
+    def test_many_boxes_in_one_pass(self, monkeypatch):
+        clips = count_clips(monkeypatch)
+        grid = GridSpec(8, 10, 1.0, origin_x=2.0)
+        rng = np.random.default_rng(17)
+        boxes = [RotatedBox.from_angle(1.0, *rng.uniform(-4.0, 16.0, 2), rng.uniform(0.3, 5.0),
+                                       rng.uniform(0.3, 2.5), rng.uniform(0.0, 2.0 * math.pi))
+                 for _ in range(60)]
+        # Edges on or within 1e-5 m of cell lines, which only the clip decides.
+        boxes += [RotatedBox(1.0, 6.0 + off, 5.0, 4.0, 2.0, 1.0, 0.0)
+                  for off in (0.0, 1e-6, -1e-6, 3e-6)]
+        boxes += [RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0),   # off the grid
+                  RotatedBox(1.0, 3.3, 4.6, 1e-7, 1e-7, 1.0, 0.0)]  # below the area threshold
+        got = _footprints(boxes, grid)
+        assert got == footprints_per_cell(boxes, grid)
+        assert got == [_footprints([box], grid)[0] for box in boxes]
+        assert {bool(cells) for cells in got[:60]} == {True, False}
+        assert got[-2:] == [[], []] and clips
+        assert _footprints([], grid) == []
 
     @pytest.mark.parametrize("kw", [DENSE, {}])
     def test_rasterize_truth_same_bits(self, kw):
