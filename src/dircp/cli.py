@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--budgets", help="comma-separated budget list")
     sweep_p.add_argument("--sigmas", help="comma-separated sigma list")
     sweep_p.add_argument("--seeds", type=int, help="number of evaluation seeds")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the seeds and the sigma trainings")
     sweep_p.add_argument("--train-steps", type=int, default=200,
                          help="scorer training steps per sigma (mlp scorer)")
     sweep_p.add_argument("--train-lr", type=float, default=0.5,
@@ -155,7 +156,8 @@ def cmd_sweep(args) -> int:
         scorers = train_sigma_scorers(cfg.scenario, cfg.settings, sigmas,
                                       cfg.settings.q_max, steps=args.train_steps,
                                       learning_rate=args.train_lr,
-                                      hidden=cfg.scorer_hidden, grid=cfg.grid)
+                                      hidden=cfg.scorer_hidden, grid=cfg.grid,
+                                      jobs=args.jobs)
     result = sweep(cfg.scenario, cfg.settings, budgets, sigmas, seeds,
                    methods=cfg.methods, scorers=scorers, jobs=args.jobs,
                    grid=cfg.grid)

@@ -32,6 +32,7 @@ WIRE_MAGIC = b"DCPM"
 WIRE_VERSION = 1
 _HEADER = struct.Struct("<4sHHHIHH")  # magic, version, sender, receiver, count, D, reserved
 HEADER_SIZE = _HEADER.size
+WIRE_U16_MAX = 0xFFFF  # the largest row, col, D or agent id a payload can carry
 SCORERS = ("reference", "mlp")          # score_reference, score_mlp
 TIE_BREAKS = ("per_collaborator", "global")  # top-k scopes of clip_queries
 
@@ -338,7 +339,7 @@ def message_to_sparse(msg: FeatureMessage, shape: tuple[int, int, int]) -> Spars
 def serialize(msg: FeatureMessage) -> bytes:
     """Little-endian wire encoding; see the module docstring for the layout."""
     if len(msg.rows) and (min(msg.rows.min(), msg.cols.min()) < 0
-                          or max(msg.rows.max(), msg.cols.max()) > 0xFFFF):
+                          or max(msg.rows.max(), msg.cols.max()) > WIRE_U16_MAX):
         raise ValueError("cell index outside the u16 wire range")
     entries = np.empty(len(msg.rows), dtype=_entry_dtype(msg.d))
     entries["row"] = msg.rows

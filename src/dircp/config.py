@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .comms import SCORERS, TIE_BREAKS
+from .comms import SCORERS, TIE_BREAKS, WIRE_U16_MAX
 from .direction import default_sigma1
 from .grid import GridSpec
 from .pipeline import INIT_MODES, METHODS, Q0_MODES, RunSettings
@@ -252,6 +252,13 @@ def load_config(path: str | Path | None = None,
     if not ev["seeds"]:
         ev["seeds"] = (sc["seed"],)
 
+    # What a DCPM wire payload can carry: u16 rows, columns, D and sender ids.
+    for key, value, limit in (("grid.h", gr["h"], WIRE_U16_MAX + 1),
+                              ("grid.w", gr["w"], WIRE_U16_MAX + 1),
+                              ("grid.d", gr["d"], WIRE_U16_MAX),
+                              ("scenario.n_collaborators", sc["n_collaborators"],
+                               WIRE_U16_MAX)):
+        check(value <= limit, f"{key} must be <= {limit}, the wire format's u16 limit")
     cell = gr["cell_size"]
     check(gr["h"] * cell == sc["area_side"] and gr["w"] * cell == sc["area_side"],
           f"grid.h/w x cell_size must cover area_side exactly "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -181,20 +182,28 @@ class SweepResult:
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
 
+def _train_sigma(args) -> ScorerParams:
+    """One sigma's scorer trained from the shared init; top-level for pickling."""
+    scenes, settings, sigma, budget, steps, learning_rate, hidden = args
+    init = ScorerParams.random(hidden, seed=0, scale=0.3)
+    return train_scorer(init, scenes, budget, replace(settings, loss_sigma=sigma),
+                        learning_rate=learning_rate, steps=steps).params
+
+
 def train_sigma_scorers(scenario: ScenarioConfig, settings: RunSettings,
                         sigmas, budget: float, steps: int = 200,
                         learning_rate: float = 0.5, hidden: int = 8,
-                        grid=None) -> dict[float, ScorerParams]:
-    """One trained QC-Net per sigma, on a shared batch of 8 training worlds."""
+                        grid=None, jobs: int = 1) -> dict[float, ScorerParams]:
+    """One trained QC-Net per sigma, on a shared batch of 8 training worlds.
+
+    Each sigma trains independently, in up to jobs worker processes; the
+    scorers are the same for any jobs.
+    """
+    sigmas = [float(s) for s in sigmas]
     scenes = training_scenes(scenario, settings, 8, grid)
-    out = {}
-    for sigma in sigmas:
-        sig_settings = replace(settings, loss_sigma=float(sigma))
-        init = ScorerParams.random(hidden, seed=0, scale=0.3)
-        result = train_scorer(init, scenes, budget, sig_settings,
-                              learning_rate=learning_rate, steps=steps)
-        out[float(sigma)] = result.params
-    return out
+    tasks = [(scenes, settings, sigma, budget, steps, learning_rate, hidden)
+             for sigma in sigmas]
+    return dict(zip(sigmas, _map_in_workers(_train_sigma, tasks, jobs)))
 
 
 def _seed_cell_results(args) -> list[SeedResult]:
@@ -217,9 +226,43 @@ def _seed_cell_results(args) -> list[SeedResult]:
     return out
 
 
-def worker_count(jobs: int, n_seeds: int, cpus: int | None) -> int:
-    """Seed workers a sweep starts: never more than seeds or CPUs, at least one."""
-    return max(1, min(jobs, n_seeds, cpus or 1))
+def worker_count(jobs: int, n_tasks: int, cpus: int | None) -> int:
+    """Workers a pool starts: never more than tasks or CPUs, at least one."""
+    return max(1, min(jobs, n_tasks, cpus or 1))
+
+
+def usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+# A worker gets one CPU, so its BLAS gets one thread: a spawned worker reads
+# these when it imports numpy. Threaded BLAS in each of N workers would
+# oversubscribe the CPUs and run slower than one process.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def _map_in_workers(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], in worker_count(jobs, len(tasks), usable_cpus())
+    spawned processes when that is more than one; results in task order."""
+    workers = worker_count(jobs, len(tasks), usable_cpus())
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    saved = {key: os.environ.get(key) for key in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key)
+            else:
+                os.environ[key] = value
 
 
 def sweep(scenario: ScenarioConfig, settings: RunSettings, budgets, sigmas,
@@ -242,13 +285,8 @@ def sweep(scenario: ScenarioConfig, settings: RunSettings, budgets, sigmas,
             raise ValueError(f"unknown method {m!r}")
     tasks = [(scenario, settings, seed, budgets, sigmas, tuple(methods), scorers,
               grid) for seed in seeds]
-    jobs = worker_count(jobs, len(seeds), os.cpu_count())
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_seed_lists = list(pool.map(_seed_cell_results, tasks))
-    else:
-        per_seed_lists = [_seed_cell_results(t) for t in tasks]
-    per_seed = [r for results in per_seed_lists for r in results]
+    per_seed = [r for results in _map_in_workers(_seed_cell_results, tasks, jobs)
+                for r in results]
 
     rows = []
     for sigma in sigmas:

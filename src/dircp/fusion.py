@@ -14,6 +14,7 @@ from .grid import GridSpec
 from .num import canonical_sum, sigmoid
 
 KEY_EVIDENCE_GAIN = 2.0
+_EGO_ONLY_BLOCK = 512  # rows per attention_pool call in ego_only
 
 
 @dataclass(frozen=True)
@@ -143,22 +144,30 @@ def _rows(mask: np.ndarray) -> np.ndarray:
 
 def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
     """Presence (H*W, N) on the grid, the _rows of the cells where any
-    collaborator's map landed, and the agents' features (N, 1, M, D) there."""
+    collaborator's map landed, and the agents' features (N, 1, M, D) there:
+    the ego's rows, each received map's entries, zeros where an agent is absent."""
     h, w = ego.grid.shape
-    parts = [np.zeros((1, ego.d)), ego.values.reshape(h * w, ego.d)]
-    entry = np.zeros((h * w, 1 + len(received)), dtype=np.intp)  # row in parts, 0 if absent
-    entry[:, 0] = np.arange(1, h * w + 1)
+    present = np.zeros((h * w, 1 + len(received)), dtype=bool)
+    present[:, 0] = True
+    landed_at = []
     for j, sparse in enumerate(received, start=1):
         if sparse is None:
             continue
         if sparse.shape != (h, w, ego.d):
             raise ShapeMismatch(f"received map {j} shape {sparse.shape} != {(h, w, ego.d)}")
-        start = sum(map(len, parts))
-        entry[sparse.rows * w + sparse.cols, j] = np.arange(start, start + len(sparse.rows))
-        parts.append(sparse.values)
-    present = entry > 0
-    cells = _rows(present[:, 1:].any(axis=1))
-    return present, cells, np.concatenate(parts)[entry[cells].T][:, None]
+        flat = sparse.rows * w + sparse.cols
+        present[flat, j] = True
+        landed_at.append((j, flat, sparse.values))
+    landed = present[:, 1:].any(axis=1)
+    slot = np.cumsum(landed) - 1  # each landed cell's place among them
+    cells = np.flatnonzero(landed)
+    feats = np.zeros((len(received) + 1, len(cells), ego.d))
+    feats[0] = ego.values.reshape(h * w, ego.d)[cells]
+    for j, flat, values in landed_at:
+        feats[j, slot[flat]] = values
+    if len(cells) == 1:  # repeated, as _rows repeats a lone cell
+        cells, feats = cells.repeat(2), feats.repeat(2, axis=1)
+    return present, cells, feats[:, None]
 
 
 def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
@@ -231,14 +240,35 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
                       gather=((ego, *received), gathered))
 
 
+def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
+    """The fused (H, W, D) map of the ego alone at weight 1.0 on every cell: what
+    fuse gives wherever no collaborator's map landed.
+
+    attention_pool runs on blocks of at least two rows (a lone row takes
+    matmul's gemv path, which rounds apart), so no temporary spans the grid.
+    """
+    h, w = ego.grid.shape
+    flat = ego.values.reshape(h * w, ego.d)
+    rows = _rows(np.ones(h * w, dtype=bool))
+    out = np.empty((h * w, ego.d))
+    for block in np.array_split(rows, -(-len(rows) // _EGO_ONLY_BLOCK)):
+        out[block] = attention_pool(flat[block][None, None], np.ones((1, 1, len(block))),
+                                    params, canonical_sum)[0][0]
+    return out.reshape(h, w, ego.d)
+
+
 def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
-         weights: DsaWeights, params: AttentionParams) -> FusedMap:
+         weights: DsaWeights, params: AttentionParams,
+         ego_only_map: np.ndarray | None = None) -> FusedMap:
     """Weighted agent fusion followed by the residual feed-forward block.
 
     attention_pool runs on the cells where a collaborator's map landed,
-    gathered as (N, 1, M, D), and elsewhere on the ego alone: the sorted sum
-    starts from +0.0 and the others' values are zero there, so either way it
-    pools to ego_value * w_ego + 0.0 (an ego -0.0 becomes +0.0).
+    gathered as (N, 1, M, D). Elsewhere the ego is alone: where its weight is
+    1.0, as dsa_weights gives it there, the row is copied from ego_only_map,
+    ego_only(ego, params), computed when not given; other weights pool the
+    ego's row alone. The sorted sum starts from +0.0 and the others' values
+    are zero there, so either way a cell pools to ego_value * w_ego + 0.0
+    (an ego -0.0 becomes +0.0).
     """
     h, w = ego.grid.shape
     # gather is ((ego, *received), _gather(ego, received)) from dsa_weights. It holds
@@ -249,12 +279,17 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     present, cells, feats = gathered
     if weights.values.shape != (h, w, len(feats)):
         raise ShapeMismatch("weights shape disagrees with agents")
+    if ego_only_map is None:
+        ego_only_map = ego_only(ego, params)
+    elif ego_only_map.shape != ego.values.shape:
+        raise ShapeMismatch("ego-only map shape disagrees with the ego map")
     flat = weights.values.reshape(h * w, -1)
-    out = np.empty((h * w, ego.d))
+    out = ego_only_map.reshape(h * w, ego.d).copy()
     out[cells] = attention_pool(feats, flat[cells].T[:, None], params, canonical_sum)[0][0]
-    alone = _rows(~present[:, 1:].any(axis=1))
-    out[alone] = attention_pool(ego.values.reshape(h * w, ego.d)[alone][None, None],
-                                flat[alone, :1].T[:, None], params, canonical_sum)[0][0]
+    other = _rows(~present[:, 1:].any(axis=1) & (flat[:, 0] != 1.0))
+    if other.size:
+        out[other] = attention_pool(ego.values.reshape(h * w, ego.d)[other][None, None],
+                                    flat[other, :1].T[:, None], params, canonical_sum)[0][0]
     return FusedMap(ego.grid, out.reshape(h, w, ego.d), weights.values)
 
 

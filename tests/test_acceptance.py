@@ -9,6 +9,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from dircp.comms import (
     FeatureMessage,
@@ -192,6 +193,7 @@ def test_criterion_4_gradient_correctness():
                   f"{elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_rotated_iou_oracle():
     t0 = time.time()
     rng = np.random.default_rng(505)
@@ -307,6 +309,7 @@ def test_criterion_8_budget_sweep_shape():
                   f"masked diff at 0.01 budget {diff:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_9_sigma_ablation_shape():
     """Sigma ablation with per-sigma trained scorers on shared seeds.
 

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -232,11 +233,40 @@ def test_length_with_an_infinite_square_exit_2(tmp_path, key):
 
 
 def test_out_of_memory_exit_3_in_one_line(tmp_path):
-    # (5, 64, 64, 100000) float64 features: 15.3 GiB, far above the cap.
-    proc = run_cli_capped(tmp_path, "[grid]\nd = 100000\n")
+    # (5, 64, 64, 65534) float64 features: 10.7 GiB, far above the cap; the
+    # largest even D the wire format carries.
+    proc = run_cli_capped(tmp_path, "[grid]\nd = 65534\n")
     assert proc.returncode == 3
     assert proc.stderr.startswith("runtime error: out of memory")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# key -> (RunConfig field, the override that sets it, the u16 wire limit)
+WIRE_LIMITS = {
+    "grid.h": ("grid.h", "scenario.area_side", 65536),
+    "grid.w": ("grid.w", "scenario.area_side", 65536),
+    "grid.d": ("settings.d_channels", "grid.d", 65535),
+    "scenario.n_collaborators": ("scenario.n_collaborators", "scenario.n_collaborators",
+                                 65535),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WIRE_LIMITS))
+def test_wire_limits_admitted_at_the_limit_and_exit_2_past_it(tmp_path, capsys, key):
+    field, override, limit = WIRE_LIMITS[key]
+    heads = {"fusion.n_heads": "1"}  # divides any D
+    config = load_config(overrides={override: str(limit), **heads})  # no grid-sized array
+    assert attrgetter(field)(config) == limit
+    past = {override: str(limit + 1), **heads}
+    with pytest.raises(ConfigError, match=f"{key} must be <= {limit}"):
+        load_config(overrides=past)
+    path = tmp_path / "past.cfg"
+    path.write_text("".join(f"[{k.split('.')[0]}]\n{k.split('.')[1]} = {v}\n"
+                            for k, v in past.items())
+                    + f"[output]\ndirectory = {tmp_path}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "u16" in err
 
 
 BAD_FLAGS = [
@@ -370,6 +400,27 @@ class TestCmdSweep:
         assert main(args) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+    def test_mlp_sweep_outputs_identical_for_any_jobs(self, tmp_path, monkeypatch):
+        """The sigma trainings and the seeds run in worker pools at --jobs 2."""
+        import dircp.evaluate
+
+        pools = []
+        real_pool = dircp.evaluate.ProcessPoolExecutor
+        monkeypatch.setattr(dircp.evaluate, "ProcessPoolExecutor",
+                            lambda *a, **kw: pools.append(kw["max_workers"]) or
+                            real_pool(*a, **kw))
+        outputs = []
+        for jobs in ("1", "2"):
+            path, out = write_config(tmp_path, extra="[comms]\nscorer = mlp\nhidden = 4\n")
+            assert main(["sweep", str(path), "--budgets", "0.1,0.3", "--sigmas", "0,1",
+                         "--seeds", "2", "--train-steps", "3", "--jobs", jobs]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert {"sweep.csv", "sweep.json", "per_seed.csv", "budget_ap_0.5.svg",
+                "budget_masked_0.7.svg"} <= set(outputs[0])
+        assert pools == ([2, 2] if dircp.evaluate.usable_cpus() >= 2 else [])
 
 
 class TestCmdTrain:

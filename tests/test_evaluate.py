@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from dircp.evaluate import (
     run_method,
     spearman,
     sweep,
+    train_sigma_scorers,
+    usable_cpus,
     worker_count,
 )
 from dircp.comms import ScorerParams
@@ -338,6 +341,40 @@ class TestSweep:
         kwargs = dict(budgets=[0.1], sigmas=[1.0], seeds=[5], methods=("directed",))
         assert sweep_json(sweep(scenario, SETTINGS, jobs=10**6, **kwargs)) == \
             sweep_json(sweep(scenario, SETTINGS, **kwargs))
+
+    def test_one_cpu_affinity_runs_seeds_and_sigmas_in_process(self, monkeypatch):
+        import dircp.evaluate
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU affinity must not start worker processes")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dircp.evaluate, "ProcessPoolExecutor", no_pool)
+        assert usable_cpus() == 1
+        scenario = eval_config(seed=5)
+        kwargs = dict(budgets=[0.1], sigmas=[1.0], seeds=[5, 6], methods=("directed",))
+        assert sweep_json(sweep(scenario, SETTINGS, jobs=2, **kwargs)) == \
+            sweep_json(sweep(scenario, SETTINGS, **kwargs))
+        small = dict(steps=1, hidden=3, grid=None)
+        pooled = train_sigma_scorers(scenario, SETTINGS, [0.0, 1.0], 0.2, jobs=2, **small)
+        assert list(pooled) == [0.0, 1.0]
+
+    def test_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(
+            self, monkeypatch):
+        import dircp.evaluate
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        keys = list(dircp.evaluate._ONE_BLAS_THREAD)
+        assert dircp.evaluate._map_in_workers(os.getenv, keys, jobs=2) == ["1"] * len(keys)
+        assert os.environ["OMP_NUM_THREADS"] == "4"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -17,11 +17,14 @@ from dircp.fusion import (
     DsaWeights,
     FusedMap,
     _clusters,
+    _gather,
+    _rows,
     attention_pool,
     attention_trace_csv,
     attention_weights,
     decode,
     dsa_weights,
+    ego_only,
     fuse,
 )
 from dircp.grid import GridSpec
@@ -39,6 +42,7 @@ from _oracles import (
     hard_attention_weights,
     soft_attention_pool,
     soft_attention_weights,
+    stack_agents,
 )
 
 
@@ -333,6 +337,52 @@ class TestGatherMatchesDense:
         assert calls == []  # the same objects: dsa_weights' gather is reused
         assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
 
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_lone_cell_beside_a_map_with_no_entries(self, params):
+        rng = np.random.default_rng(46)
+        ego = BevFeatureMap(GridSpec(5, 6, 1.0), rng.normal(size=(5, 6, 8)))
+        empty = sparse_from_dense(rng.normal(size=(5, 6, 8)), [])
+        lone = sparse_from_dense(rng.normal(size=(5, 6, 8)), [(4, 5)])
+        for received in ([empty, lone, None], [empty, None], [lone, empty], [empty]):
+            assert_matches_dense(ego, received,
+                                 qcm_of(rng.uniform(0, 1, (5, 6, len(received)))), params)
+
+    @pytest.mark.parametrize("case", ["none", "empty", "lone", "sparse", "every"])
+    def test_gather_is_the_stacked_agents_at_the_landed_cells(self, case):
+        rng = np.random.default_rng(49)
+        ego = BevFeatureMap(GridSpec(7, 6, 1.0), rng.normal(size=(7, 6, 8)))
+        every = [(r, c) for r in range(7) for c in range(6)]
+        cells = {"none": None, "empty": [], "lone": [(3, 2)], "sparse": every[::5],
+                 "every": every}[case]
+        received = [None if cells is None else
+                    sparse_from_dense(rng.normal(size=(7, 6, 8)), cells),
+                    None, sparse_from_dense(rng.normal(size=(7, 6, 8)), every[1::7])
+                    if case == "sparse" else None]
+        present, rows, feats = _gather(ego, received)
+        stacked, stacked_present = stack_agents(ego, received)
+        assert same_bytes(present, stacked_present.reshape(4, -1).T)
+        assert np.array_equal(rows, _rows(stacked_present[1:].any(axis=0).ravel()))
+        assert len(rows) == {"none": 0, "empty": 0, "lone": 2}.get(case, len(set(rows)))
+        assert feats.flags.c_contiguous
+        assert same_bytes(feats, stacked.reshape(4, 1, -1, 8)[:, :, rows])
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_fuse_copies_the_ego_only_map_it_is_given(self, params):
+        rng = np.random.default_rng(50)
+        ego = BevFeatureMap(GridSpec(6, 5, 1.0), rng.normal(size=(6, 5, 8)))
+        received = random_received(rng, (6, 5, 8), 3, 0.2)
+        weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 5, 3))), params)
+        alone = ~weights.present[:, :, 1:].any(axis=2)
+        assert alone.any() and not alone.all()
+        ref = fuse(ego, received, weights, params)
+        given = ego_only(ego, params)
+        assert same_bytes(fuse(ego, received, weights, params, given).values, ref.values)
+        marked = fuse(ego, received, weights, params, given + 1.0).values
+        assert same_bytes(marked[alone], given[alone] + 1.0)
+        assert same_bytes(marked[~alone], ref.values[~alone])
+        with pytest.raises(ShapeMismatch):
+            fuse(ego, received, weights, params, given[:, :4])
+
     @pytest.mark.parametrize("world", [{}, DENSE])
     def test_real_scenes(self, world):
         settings = RunSettings()
@@ -351,6 +401,37 @@ class TestGatherMatchesDense:
             got = [repr(b.as_tuple()) for b in decode(fused, settings.conf_threshold)]
             ref = decode_per_cell(fused, settings.conf_threshold)
             assert got == [repr(b.as_tuple()) for b in ref] and got
+
+
+class TestEgoOnly:
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 513), (27, 19),
+                                       (33, 31), (64, 64)])
+    def test_equals_one_pass_over_the_whole_grid(self, shape, params):
+        """Blocks keep each row's bits, and no row takes matmul's one-row (gemv)
+        path: a 1x1 grid's row is repeated, as _rows repeats a lone cell."""
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        values = rng.normal(size=(*shape, 8))
+        values[0, 0, :3] = -0.0
+        ego = BevFeatureMap(GridSpec(*shape, 1.0), values)
+        rows = values.reshape(-1, 8)
+        rows = rows.repeat(2, axis=0) if len(rows) == 1 else rows
+        whole = attention_pool(rows[None, None], np.ones((1, 1, len(rows))), params,
+                               canonical_sum)[0][0]
+        got = ego_only(ego, params)
+        assert same_bytes(got, whole[:values[..., 0].size].reshape(values.shape))
+        if len(rows) > 2:  # the dense oracle's lone row would itself take gemv
+            no_message = dense_dsa_weights(ego, [None], qcm_of(np.zeros((*shape, 1))),
+                                           params)
+            assert same_bytes(got, dense_fuse(ego, [None], no_message, params).values)
+
+    def test_a_lone_row_would_round_apart(self):
+        """Why the 1x1 case matters: with these params the one-row pass differs."""
+        params = PARAMS[1]
+        row = np.random.default_rng(0).normal(size=(1, 8))
+        one = attention_pool(row[None, None], np.ones((1, 1, 1)), params, canonical_sum)
+        ego = BevFeatureMap(GridSpec(1, 1, 1.0), row.reshape(1, 1, 8))
+        assert not same_bytes(ego_only(ego, params).reshape(1, 8), one[0][0])
 
 
 def kernel_inputs(rng, trial):

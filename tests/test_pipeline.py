@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dircp import pipeline
-from dircp.comms import build_message, serialize
+from dircp.comms import ScorerParams, build_message, serialize
 from dircp.fusion import AttentionParams
 from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
 from dircp.scenario import ScenarioConfig, generate
@@ -81,3 +81,75 @@ class TestAttentionParamsMemoized:
         assert pipeline._attention_params.cache_info().currsize == maxsize
         with pytest.raises(ValueError, match="init_mode"):
             RunSettings(init_mode="orthogonal").attention_params()
+
+
+def same_result(a, b):
+    """Two PipelineResults agree byte for byte: fused map, trace, boxes, QCM,
+    query bits and ledger."""
+    arrays = [(a.fused.values, b.fused.values),
+              (a.fused.attention_trace, b.fused.attention_trace)]
+    if a.query is not None or b.query is not None:
+        arrays += [(a.qcm.values, b.qcm.values), (a.query.bits, b.query.bits)]
+    return (a.method == b.method and a.mask == b.mask and a.ledger == b.ledger
+            and [x.as_tuple() for x in a.boxes] == [x.as_tuple() for x in b.boxes]
+            and all(x.dtype == y.dtype and x.shape == y.shape
+                    and x.tobytes() == y.tobytes() for x, y in arrays))
+
+
+class TestSceneMemo:
+    SCORERS = (None, ScorerParams.random(6, seed=4, scale=0.3),
+               ScorerParams.random(8, seed=5, scale=0.5))
+    SETTINGS = (RunSettings(), RunSettings(init_mode="random", attn_seed=3, n_heads=4))
+
+    @pytest.mark.parametrize("world_name", sorted(WORLDS))
+    def test_runs_in_any_order_match_fresh_scenes(self, world_name):
+        world = generate(ScenarioConfig(seed=4, **WORLDS[world_name]))
+        scene = prepare_scene(world, self.SETTINGS[0])
+        runs = [(m, b, s, c) for m in pipeline.METHODS for b in (0.0, 0.05, 0.3, 1.0)
+                for s in range(len(self.SCORERS)) for c in range(len(self.SETTINGS))]
+        np.random.default_rng(7).shuffle(runs)
+        for method, budget, s, c in runs:
+            scorer, settings = self.SCORERS[s], self.SETTINGS[c]
+            got = run_pipeline(scene, method, budget, settings, scorer)
+            fresh = run_pipeline(prepare_scene(world, settings), method, budget, settings,
+                                 scorer)
+            assert same_result(got, fresh), (method, budget, s, c)
+            if method != "single":
+                assert scene.memo.qcms[method] is got.qcm
+                assert scene.memo.params is settings.attention_params()
+
+    def test_holds_one_scorer_and_shares_read_only_maps(self):
+        settings = RunSettings()
+        scene = prepare_scene(generate(ScenarioConfig(seed=5)), settings)
+        for arr in (scene.features, scene.q0, scene.pe, scene.de):
+            assert not arr.flags.writeable
+        first, second = self.SCORERS[1:]
+        a = run_pipeline(scene, "directed", 0.1, settings, first)
+        b = run_pipeline(scene, "uniform", 0.1, settings, first)
+        assert run_pipeline(scene, "directed", 0.4, settings, first).qcm is a.qcm
+        assert set(scene.memo.qcms) == {"directed", "uniform"}
+        c = run_pipeline(scene, "uniform", 0.1, settings, second)
+        assert scene.memo.qcms == {"uniform": c.qcm}
+        assert scene.memo.scorer == second.to_vector().tobytes()
+        for arr in (a.qcm.values, b.qcm.values, c.qcm.values, scene.memo.ego_only):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 0.5
+        # A scorer changed in place is a new scorer: its maps are scored again.
+        second.w1[0, 0] += 1.0
+        d = run_pipeline(scene, "uniform", 0.1, settings, second)
+        assert d.qcm is not c.qcm
+        assert same_result(d, run_pipeline(prepare_scene(scene.world, settings), "uniform",
+                                           0.1, settings, second))
+        second.w1[0, 0] -= 1.0
+
+    def test_one_scoring_pass_per_method(self, monkeypatch):
+        calls = []
+        real = pipeline.score_scene
+        monkeypatch.setattr(pipeline, "score_scene",
+                            lambda *a: calls.append(a[2] is a[0].de) or real(*a))
+        settings = RunSettings()
+        scene = prepare_scene(generate(ScenarioConfig(seed=6)), settings)
+        for budget in (0.02, 0.1, 0.2, 0.5):
+            for method in pipeline.METHODS:
+                run_pipeline(scene, method, budget, settings)
+        assert sorted(calls) == [False, True]  # uniform, then directed
