@@ -6,6 +6,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from .pipeline import INIT_MODES, METHODS, Q0_MODES, RunSettings
 from .scenario import ScenarioConfig
 
 ENV_SEED = "DIRCP_SEED"
+# Admission limit on a run's largest array, about (n_collaborators + 1) x h x w
+# x max(d, hidden, d_ff, 3) float64 values: 2.6 MB at the defaults.
+MEMORY_ENVELOPE = 256 * 2**20  # bytes
 
 
 class ConfigError(ValueError):
@@ -146,6 +150,8 @@ def schema_help() -> str:
         for key, (default, _, _, desc) in keys.items():
             shown = default if default != "" else "auto"
             lines.append(f"    {key} ({shown}): {desc}")
+    lines.append("a run's largest array, (n_collaborators + 1) x h x w x max(d, hidden, d_ff, "
+                 f"3) x 8 bytes, may not exceed {MEMORY_ENVELOPE >> 20} MiB (exit 2)")
     return "\n".join(lines)
 
 
@@ -252,6 +258,8 @@ def load_config(path: str | Path | None = None,
     if not ev["seeds"]:
         ev["seeds"] = (sc["seed"],)
 
+    for key in ("area_side", "sensor_range"):
+        check(math.isfinite(sc[key] * sc[key]), f"scenario.{key} must have a finite square")
     # What a DCPM wire payload can carry: u16 rows, columns, D and sender ids.
     for key, value, limit in (("grid.h", gr["h"], WIRE_U16_MAX + 1),
                               ("grid.w", gr["w"], WIRE_U16_MAX + 1),
@@ -259,6 +267,17 @@ def load_config(path: str | Path | None = None,
                               ("scenario.n_collaborators", sc["n_collaborators"],
                                WIRE_U16_MAX)):
         check(value <= limit, f"{key} must be <= {limit}, the wire format's u16 limit")
+    if errors:  # the checks below multiply these sizes
+        raise ConfigError("\n".join(errors))
+    size = ((sc["n_collaborators"] + 1) * gr["h"] * gr["w"]
+            * max(gr["d"], co["hidden"], fu["d_ff"], 3) * 8)
+    if size > MEMORY_ENVELOPE:  # named: the factor furthest above its default run's
+        scale = {"scenario.n_collaborators": (sc["n_collaborators"] + 1, 5),
+                 "grid.h": (gr["h"], 64), "grid.w": (gr["w"], 64), "grid.d": (gr["d"], 8),
+                 "comms.hidden": (co["hidden"], 8), "fusion.d_ff": (fu["d_ff"], 16)}
+        errors.append(f"{max(scale, key=lambda k: Fraction(*scale[k]))}: the run's largest "
+                      f"array would take {size >> 20} MiB, above the "
+                      f"{MEMORY_ENVELOPE >> 20} MiB envelope")
     cell = gr["cell_size"]
     check(gr["h"] * cell == sc["area_side"] and gr["w"] * cell == sc["area_side"],
           f"grid.h/w x cell_size must cover area_side exactly "
@@ -287,8 +306,6 @@ def load_config(path: str | Path | None = None,
     check(0.0 <= di["sigma1"] <= 1.0, "direction.sigma1 must lie in [0, 1]")
     check(di["sigma2"] >= 0.0, "direction.sigma2 must be >= 0")
     check(math.isfinite(fu["qk_scale"]), "fusion.qk_scale must be finite")
-    for key in ("area_side", "sensor_range"):
-        check(math.isfinite(sc[key] * sc[key]), f"scenario.{key} must have a finite square")
     check(lo["sigma"] >= 0.0, "loss.sigma must be >= 0")
     check(lo["tau"] > 0.0, "loss.tau must be positive")
     if errors:

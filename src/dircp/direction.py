@@ -88,7 +88,7 @@ def compute_mask(ds: DirectionScores, sigma1: float, sigma2: float) -> Direction
 
 @lru_cache(maxsize=4)
 def cell_sector_map(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
-    """(H, W) int map: ``sector_of_point`` of each cell center; memoized, read-only."""
+    """(H, W) int map: ``sector_of_point`` of each cell center; cached, read-only."""
     # math.atan2 keeps the angles bit-equal to it; numpy's SIMD arctan2 is not.
     dx, dy = (grid.centers - np.asarray(partition.frame_origin)).transpose(2, 0, 1)
     atan = np.array(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())))

@@ -236,14 +236,12 @@ def _objective(fused_values: np.ndarray, tscene: TrainScene, settings: RunSettin
 
 
 def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
-                 settings: RunSettings, attn: AttentionParams | None = None,
-                 want_grad: bool = True):
+                 settings: RunSettings, attn: AttentionParams | None = None):
     """Differentiable surrogate of the full pipeline; returns (loss, grads, per_dir).
 
     The forward runs the evaluation path's attention kernel with every agent
-    present on soft-clipped features and a plain sum over agents. grads is
-    None when want_grad is False. Gradients flow to the scorer parameters
-    only; attention parameters stay fixed.
+    present on soft-clipped features and a plain sum over agents. Gradients
+    flow to the scorer parameters only; attention parameters stay fixed.
     """
     scene = tscene.scene
     if attn is None:
@@ -274,9 +272,6 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     fused, v, u = attention_pool(h_ag, wgt, attn, np.sum)
     del h_ag  # the backward reads v, not the features it was projected from
     loss, per_dir, pred = _objective(fused, tscene, settings)
-    if not want_grad:
-        return loss, None, per_dir
-
     dp0, dreg = _loss_grads(pred, tscene.terms, scene.mask, settings.loss_sigma,
                             settings.lambda_off, settings.lambda_size)
     dfused = np.zeros((h, w, d))

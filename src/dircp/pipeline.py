@@ -69,7 +69,7 @@ class RunSettings:
         return default_sigma1(self.n_dir) if self.sigma1 is None else self.sigma1
 
     def attention_params(self) -> AttentionParams:
-        """Memoized on the fields it reads; its arrays are read-only."""
+        """Cached on the fields it reads; its arrays are read-only."""
         return _attention_params(self.init_mode, self.d_channels, self.n_heads,
                                  self.d_ff, self.qk_scale, self.attn_seed)
 
@@ -86,29 +86,10 @@ def _attention_params(init_mode, d_channels, n_heads, d_ff, qk_scale, attn_seed)
     return params
 
 
-@dataclass
-class SceneMemo:
-    """What every run of one scene would recompute whatever its budget.
-
-    The QCM of each method for one scorer (keyed on the bytes of its
-    parameters, b"" for the reference scorer) and the ego-only fused map for
-    one AttentionParams object, all read-only. Filled by run_pipeline on
-    first use; a new scorer or params replaces the entries of the old one.
-    """
-
-    scorer: bytes | None = None
-    qcms: dict = field(default_factory=dict)  # method -> QueryConfidenceMap
-    params: AttentionParams | None = None
-    ego_only: np.ndarray | None = field(default=None, repr=False)
-
-
 @dataclass(frozen=True)
 class SceneInputs:
-    """Per-world tensors shared by the evaluation and training paths.
-
-    The arrays are read-only: memo, filled from them on first use, lives as
-    long as the scene.
-    """
+    """Per-world tensors shared by the evaluation and training paths, all read-only;
+    ego_fused is ego_only(ego map, attention), the fused map where no message lands."""
 
     world: ScenarioWorld
     grid: GridSpec
@@ -119,8 +100,8 @@ class SceneInputs:
     q0: np.ndarray = field(repr=False)          # (H, W, K)
     features: np.ndarray = field(repr=False)    # (N, H, W, D)
     sector_map: np.ndarray = field(repr=False)  # (H, W)
-    memo: SceneMemo = field(default_factory=SceneMemo, init=False, repr=False,
-                            compare=False)
+    attention: AttentionParams = field(repr=False)
+    ego_fused: np.ndarray = field(repr=False)   # (H, W, D)
 
     @property
     def n_collaborators(self) -> int:
@@ -183,32 +164,20 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
         q0 = np.repeat(gap[:, :, None], k, axis=2)
     else:
         raise ValueError(f"unknown q0_mode {settings.q0_mode!r}")
-    for arr in (de, pe, q0, feats):
+    attention = settings.attention_params()
+    ego_fused = ego_only(BevFeatureMap(grid, feats[0]), attention)
+    for arr in (de, pe, q0, feats, ego_fused):
         arr.setflags(write=False)
     return SceneInputs(world=world, grid=grid, partition=partition, mask=mask,
-                       de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map)
+                       de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map,
+                       attention=attention, ego_fused=ego_fused)
 
 
-def score_scene(scene: SceneInputs, settings: RunSettings, de: np.ndarray,
+def score_scene(scene: SceneInputs, de: np.ndarray,
                 scorer_params: ScorerParams | None) -> QueryConfidenceMap:
     if scorer_params is None:
         return score_reference(scene.q0, scene.pe, de)
     return score_mlp(scorer_params, scene.q0, scene.pe, de)
-
-
-def _scene_qcm(scene: SceneInputs, method: str, settings: RunSettings,
-               scorer_params: ScorerParams | None) -> QueryConfidenceMap:
-    """The method's QCM from the scene memo, scored on first use."""
-    memo = scene.memo
-    key = b"" if scorer_params is None else scorer_params.to_vector().tobytes()
-    if memo.scorer != key:
-        memo.scorer, memo.qcms = key, {}
-    if method not in memo.qcms:
-        de = np.ones_like(scene.de) if method == "uniform" else scene.de
-        qcm = score_scene(scene, settings, de, scorer_params)
-        qcm.values.setflags(write=False)
-        memo.qcms[method] = qcm
-    return memo.qcms[method]
 
 
 def run_pipeline(scene: SceneInputs, method: str, budget: float,
@@ -225,7 +194,8 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
         boxes = decode(fused, settings.conf_threshold)
         return PipelineResult("single", boxes, fused, scene.mask, None, None, ledger)
 
-    qcm = _scene_qcm(scene, method, settings, scorer_params)
+    de = np.ones_like(scene.de) if method == "uniform" else scene.de
+    qcm = score_scene(scene, de, scorer_params)
     query = clip_queries(qcm, budget, tie_break=settings.tie_break)
     received: list[SparseFeatureMap | None] = []
     shape = (scene.grid.h, scene.grid.w, settings.d_channels)
@@ -239,10 +209,7 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
         received.append(message_to_sparse(deserialize(serialize(msg)), shape))
     params = settings.attention_params()
     weights = dsa_weights(ego, received, qcm, params)
-    memo = scene.memo
-    if memo.params is not params:
-        memo.params, memo.ego_only = params, ego_only(ego, params)
-        memo.ego_only.setflags(write=False)
-    fused = fuse(ego, received, weights, params, memo.ego_only)
+    fused = fuse(ego, received, weights, params,
+                 scene.ego_fused if params is scene.attention else None)
     boxes = decode(fused, settings.conf_threshold)
     return PipelineResult(method, boxes, fused, scene.mask, qcm, query, ledger)

@@ -178,10 +178,8 @@ def test_criterion_4_gradient_correctness():
         up, down = base.copy(), base.copy()
         up[i] += 1e-4
         down[i] -= 1e-4
-        lu, _, _ = soft_forward(ScorerParams.from_vector(up, 4), ts, 0.3,
-                                settings, want_grad=False)
-        ld, _, _ = soft_forward(ScorerParams.from_vector(down, 4), ts, 0.3,
-                                settings, want_grad=False)
+        lu, _, _ = soft_forward(ScorerParams.from_vector(up, 4), ts, 0.3, settings)
+        ld, _, _ = soft_forward(ScorerParams.from_vector(down, 4), ts, 0.3, settings)
         fd = (lu - ld) / 2e-4
         denom = max(abs(fd), abs(flat[i]), 1e-7)
         worst_e2e = max(worst_e2e, abs(fd - flat[i]) / denom)

@@ -11,7 +11,14 @@ import pytest
 import dircp
 from dircp.cli import main
 from dircp.comms import ScorerParams
-from dircp.config import SCHEMA, ConfigError, effective_config_text, load_config
+from dircp.config import (
+    MEMORY_ENVELOPE,
+    SCHEMA,
+    ConfigError,
+    effective_config_text,
+    load_config,
+    schema_help,
+)
 
 BASE_CONFIG = """
 [scenario]
@@ -194,11 +201,14 @@ BAD_CONFIG_VALUES = [
     ("eval.iou_thresholds", "", ""),
     ("scenario.n_vehicles", "", ""),
     ("comms.hidden", "", ""),
+    ("grid.h", "9" * 400, ""),        # past any float: no OverflowError traceback
+    ("comms.hidden", "9" * 400, ""),
 ]
 
 
 @pytest.mark.parametrize("key,value,extra", BAD_CONFIG_VALUES,
-                         ids=[f"{k}={v}" for k, v, _ in BAD_CONFIG_VALUES])
+                         ids=[f"{k}={v if len(v) < 20 else v[:3] + '...'}"
+                              for k, v, _ in BAD_CONFIG_VALUES])
 def test_bad_config_value_exit_2_names_key(tmp_path, capsys, key, value, extra):
     section, name = key.split(".")
     path = tmp_path / "bad.cfg"
@@ -211,7 +221,7 @@ def test_bad_config_value_exit_2_names_key(tmp_path, capsys, key, value, extra):
 ADDRESS_SPACE = 2 * 1024**3  # bytes: the child fails a large allocation, not the host
 
 
-def run_cli_capped(tmp_path, config_text):
+def run_cli_capped(tmp_path, config_text, entry=("-m", "dircp.cli")):
     """``dircp run`` on a config in a child process held to ADDRESS_SPACE."""
     path = tmp_path / "capped.cfg"
     path.write_text(f"{config_text}[output]\ndirectory = {tmp_path / 'out'}\n",
@@ -219,7 +229,7 @@ def run_cli_capped(tmp_path, config_text):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=str(Path(dircp.__file__).resolve().parent.parent))
     return subprocess.run(
-        [sys.executable, "-m", "dircp.cli", "run", str(path)], env=env, timeout=120,
+        [sys.executable, *entry, "run", str(path)], env=env, timeout=120,
         capture_output=True, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (ADDRESS_SPACE, ADDRESS_SPACE)))
@@ -232,13 +242,40 @@ def test_length_with_an_infinite_square_exit_2(tmp_path, key):
     assert f"scenario.{key}" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# The dircp CLI with generate replaced by an 8 TiB allocation, far above the cap.
+HUGE_ALLOCATION = ("-c", "import sys, numpy, dircp.cli as cli; "
+                   "cli.generate = lambda *a, **k: numpy.zeros(2**40); sys.exit(cli.main())")
+
+
 def test_out_of_memory_exit_3_in_one_line(tmp_path):
-    # (5, 64, 64, 65534) float64 features: 10.7 GiB, far above the cap; the
-    # largest even D the wire format carries.
-    proc = run_cli_capped(tmp_path, "[grid]\nd = 65534\n")
+    proc = run_cli_capped(tmp_path, "", entry=HUGE_ALLOCATION)
     assert proc.returncode == 3
     assert proc.stderr.startswith("runtime error: out of memory")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# key the error names -> a config past the envelope, each factor within the u16 limits
+PAST_THE_ENVELOPE = {
+    "grid.d": "[grid]\nd = 65535\n[fusion]\nn_heads = 1\n",
+    "comms.hidden": "[comms]\nscorer = mlp\nhidden = 100000000\n",
+    "scenario.n_collaborators": "[scenario]\nn_collaborators = 5000\n",
+    "grid.h": "[scenario]\narea_side = 65536\n[grid]\nh = 65536\nw = 65536\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PAST_THE_ENVELOPE))
+def test_past_the_envelope_exit_2_in_one_line(tmp_path, key):
+    proc = run_cli_capped(tmp_path, PAST_THE_ENVELOPE[key])
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    header, line = proc.stderr.splitlines()
+    assert header == "config error:"
+    assert line.startswith(f"{key}: ") and line.endswith(
+        f"above the {MEMORY_ENVELOPE >> 20} MiB envelope")
+
+
+def test_envelope_admits_the_default_run_and_is_in_the_help():
+    load_config(overrides={"comms.scorer": "mlp"})
+    assert f"may not exceed {MEMORY_ENVELOPE >> 20} MiB (exit 2)" in schema_help()
 
 
 # key -> (RunConfig field, the override that sets it, the u16 wire limit)
@@ -255,8 +292,15 @@ WIRE_LIMITS = {
 def test_wire_limits_admitted_at_the_limit_and_exit_2_past_it(tmp_path, capsys, key):
     field, override, limit = WIRE_LIMITS[key]
     heads = {"fusion.n_heads": "1"}  # divides any D
-    config = load_config(overrides={override: str(limit), **heads})  # no grid-sized array
-    assert attrgetter(field)(config) == limit
+    at = {override: str(limit), **heads}
+    if override == "scenario.area_side":
+        # A 65536 x 65536 grid is within the u16 limit but past the envelope.
+        with pytest.raises(ConfigError, match="envelope") as err:
+            load_config(overrides=at)
+        assert "u16" not in str(err.value)
+    else:
+        config = load_config(overrides={**at, "scenario.area_side": "1"})  # one cell
+        assert attrgetter(field)(config) == limit
     past = {override: str(limit + 1), **heads}
     with pytest.raises(ConfigError, match=f"{key} must be <= {limit}"):
         load_config(overrides=past)

@@ -308,9 +308,9 @@ class TestTopCellsMatchesSort:
         settings = RunSettings()
         for seed in (0, 11):
             scene = prepare_scene(generate(ScenarioConfig(seed=seed, **world)), settings)
-            maps = {"directed": score_scene(scene, settings, scene.de, None),
-                    "uniform": score_scene(scene, settings, np.ones_like(scene.de), None),
-                    "mlp": score_scene(scene, settings, scene.de,
+            maps = {"directed": score_scene(scene, scene.de, None),
+                    "uniform": score_scene(scene, np.ones_like(scene.de), None),
+                    "mlp": score_scene(scene, scene.de,
                                        ScorerParams.random(8, seed=seed))}
             for name, c in maps.items():
                 for q_max in (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):

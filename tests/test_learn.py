@@ -261,10 +261,8 @@ class TestSoftPath:
             up, down = base.copy(), base.copy()
             up[i] += step
             down[i] -= step
-            lu, _, _ = soft_forward(ScorerParams.from_vector(up, 4), ts, 0.3,
-                                    settings, want_grad=False)
-            ld, _, _ = soft_forward(ScorerParams.from_vector(down, 4), ts, 0.3,
-                                    settings, want_grad=False)
+            lu, _, _ = soft_forward(ScorerParams.from_vector(up, 4), ts, 0.3, settings)
+            ld, _, _ = soft_forward(ScorerParams.from_vector(down, 4), ts, 0.3, settings)
             fd = (lu - ld) / (2 * step)
             denom = max(abs(fd), abs(flat_g[i]), 1e-7)
             assert abs(fd - flat_g[i]) / denom < 1e-3, f"param {i}"

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from dircp import pipeline
 from dircp.comms import ScorerParams, build_message, serialize
-from dircp.fusion import AttentionParams
-from dircp.pipeline import RunSettings, prepare_scene, run_pipeline
+from dircp.fusion import AttentionParams, ego_only
+from dircp.pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
 from dircp.scenario import ScenarioConfig, generate
 
 WORLDS = {
@@ -97,6 +98,9 @@ def same_result(a, b):
 
 
 class TestSceneMemo:
+    """What a prepared scene holds for every run of it: read-only arrays and the
+    ego-only fused map, which runs under its own attention params copy."""
+
     SCORERS = (None, ScorerParams.random(6, seed=4, scale=0.3),
                ScorerParams.random(8, seed=5, scale=0.5))
     SETTINGS = (RunSettings(), RunSettings(init_mode="random", attn_seed=3, n_heads=4))
@@ -114,42 +118,33 @@ class TestSceneMemo:
             fresh = run_pipeline(prepare_scene(world, settings), method, budget, settings,
                                  scorer)
             assert same_result(got, fresh), (method, budget, s, c)
-            if method != "single":
-                assert scene.memo.qcms[method] is got.qcm
-                assert scene.memo.params is settings.attention_params()
 
-    def test_holds_one_scorer_and_shares_read_only_maps(self):
-        settings = RunSettings()
+    @pytest.mark.parametrize("settings", SETTINGS, ids=["identity", "random"])
+    def test_ego_fused_is_ego_only_and_every_array_is_read_only(self, settings):
         scene = prepare_scene(generate(ScenarioConfig(seed=5)), settings)
-        for arr in (scene.features, scene.q0, scene.pe, scene.de):
-            assert not arr.flags.writeable
-        first, second = self.SCORERS[1:]
-        a = run_pipeline(scene, "directed", 0.1, settings, first)
-        b = run_pipeline(scene, "uniform", 0.1, settings, first)
-        assert run_pipeline(scene, "directed", 0.4, settings, first).qcm is a.qcm
-        assert set(scene.memo.qcms) == {"directed", "uniform"}
-        c = run_pipeline(scene, "uniform", 0.1, settings, second)
-        assert scene.memo.qcms == {"uniform": c.qcm}
-        assert scene.memo.scorer == second.to_vector().tobytes()
-        for arr in (a.qcm.values, b.qcm.values, c.qcm.values, scene.memo.ego_only):
+        assert scene.attention is settings.attention_params()
+        want = ego_only(scene.ego_map(), scene.attention)
+        assert scene.ego_fused.dtype == want.dtype and scene.ego_fused.shape == want.shape
+        assert scene.ego_fused.tobytes() == want.tobytes()
+        assert all(f.init for f in fields(SceneInputs))
+        arrays = [getattr(scene, f.name) for f in fields(scene)]
+        arrays += [getattr(scene.attention, f.name) for f in fields(scene.attention)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        # de, pe, q0, features, sector_map, ego_fused and every attention weight
+        assert len(arrays) == 6 + len(fields(scene.attention)) - 1
+        for arr in arrays:
             with pytest.raises(ValueError):
-                arr[0, 0, 0] = 0.5
-        # A scorer changed in place is a new scorer: its maps are scored again.
-        second.w1[0, 0] += 1.0
-        d = run_pipeline(scene, "uniform", 0.1, settings, second)
-        assert d.qcm is not c.qcm
-        assert same_result(d, run_pipeline(prepare_scene(scene.world, settings), "uniform",
-                                           0.1, settings, second))
-        second.w1[0, 0] -= 1.0
+                arr.flat[0] = 0.5
 
-    def test_one_scoring_pass_per_method(self, monkeypatch):
-        calls = []
-        real = pipeline.score_scene
-        monkeypatch.setattr(pipeline, "score_scene",
-                            lambda *a: calls.append(a[2] is a[0].de) or real(*a))
+    @pytest.mark.parametrize("world_name", sorted(WORLDS))
+    def test_a_pickled_scene_runs_the_same_bytes(self, world_name):
         settings = RunSettings()
-        scene = prepare_scene(generate(ScenarioConfig(seed=6)), settings)
-        for budget in (0.02, 0.1, 0.2, 0.5):
-            for method in pipeline.METHODS:
-                run_pipeline(scene, method, budget, settings)
-        assert sorted(calls) == [False, True]  # uniform, then directed
+        scene = prepare_scene(generate(ScenarioConfig(seed=6, **WORLDS[world_name])),
+                              settings)
+        shipped = pickle.loads(pickle.dumps(scene))  # as the sigma pool ships it
+        assert shipped.attention is not settings.attention_params()
+        for method in pipeline.METHODS:
+            for budget, scorer in ((0.05, None), (0.3, self.SCORERS[1])):
+                assert same_result(run_pipeline(shipped, method, budget, settings, scorer),
+                                   run_pipeline(scene, method, budget, settings, scorer)), \
+                    (method, budget)
