@@ -143,12 +143,11 @@ def _rows(mask: np.ndarray) -> np.ndarray:
 
 
 def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
-    """Presence (H*W, N) on the grid, the _rows of the cells where any
-    collaborator's map landed, and the agents' features (N, 1, M, D) there:
-    the ego's rows, each received map's entries, zeros where an agent is absent."""
+    """The _rows of the cells where any collaborator's map landed, and there the
+    agents' presence (N, 1, M) and features (N, 1, M, D): the ego's rows, each
+    received map's entries, zeros where an agent is absent."""
     h, w = ego.grid.shape
-    present = np.zeros((h * w, 1 + len(received)), dtype=bool)
-    present[:, 0] = True
+    landed = np.zeros(h * w, dtype=bool)
     landed_at = []
     for j, sparse in enumerate(received, start=1):
         if sparse is None:
@@ -156,18 +155,20 @@ def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
         if sparse.shape != (h, w, ego.d):
             raise ShapeMismatch(f"received map {j} shape {sparse.shape} != {(h, w, ego.d)}")
         flat = sparse.rows * w + sparse.cols
-        present[flat, j] = True
+        landed[flat] = True
         landed_at.append((j, flat, sparse.values))
-    landed = present[:, 1:].any(axis=1)
     slot = np.cumsum(landed) - 1  # each landed cell's place among them
     cells = np.flatnonzero(landed)
-    feats = np.zeros((len(received) + 1, len(cells), ego.d))
-    feats[0] = ego.values.reshape(h * w, ego.d)[cells]
+    present = np.zeros((len(received) + 1, 1, len(cells)), dtype=bool)
+    present[0] = True
+    feats = np.zeros((len(received) + 1, 1, len(cells), ego.d))
+    feats[0, 0] = ego.values.reshape(h * w, ego.d)[cells]
     for j, flat, values in landed_at:
-        feats[j, slot[flat]] = values
+        present[j, 0, slot[flat]] = True
+        feats[j, 0, slot[flat]] = values
     if len(cells) == 1:  # repeated, as _rows repeats a lone cell
-        cells, feats = cells.repeat(2), feats.repeat(2, axis=1)
-    return present, cells, feats[:, None]
+        return cells.repeat(2), present.repeat(2, axis=2), feats.repeat(2, axis=2)
+    return cells, present, feats
 
 
 def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
@@ -222,22 +223,24 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
 
     The kernel runs only on the cells where a collaborator's map landed,
     gathered as (N, 1, M, D); elsewhere the ego is alone, so pre_qcm and the
-    weights are [1.0, 0.0, ...] and present is [True, False, ...] there.
+    weights are [1.0, 0.0, ...] and present is [True, False, ...] there. All
+    three are read-only; gather hands fuse the landed cells, features, weights.
     """
     h, w = ego.grid.shape
     if qcm.values.shape[:2] != (h, w) or qcm.n_collaborators != len(received):
         raise ShapeMismatch("QCM shape disagrees with ego grid / received list")
     if params.d != ego.d:
         raise ShapeMismatch("attention params width disagrees with features")
-    gathered = present, cells, feats = _gather(ego, received)
-    conf = qcm.values.reshape(h * w, len(received))
-    _, pre_at, *_ = attention_weights(feats[0], feats, present[cells].T[:, None],
-                                      conf[None, cells], params, canonical_sum)
-    pre = np.tile(np.eye(1, len(feats)), (h * w, 1))
-    pre[cells] = pre_at[:, 0].T
-    values = np.concatenate([pre[:, :1], pre[:, 1:] * conf], axis=1)
-    return DsaWeights(*(a.reshape(h, w, -1) for a in (values, pre, present)),
-                      gather=((ego, *received), gathered))
+    cells, present, feats = _gather(ego, received)
+    conf = qcm.values.reshape(1, h * w, len(received))[:, cells]  # (1, M, N-1)
+    at, pre_at, *_ = attention_weights(feats[0], feats, present, conf, params, canonical_sum)
+    grids = []
+    for landed_rows in (at, pre_at, present):  # the ego column, then the landed rows
+        full = np.zeros((h * w, len(feats)), dtype=landed_rows.dtype)
+        full[:, 0], full[cells] = 1, landed_rows[:, 0].T
+        full.setflags(write=False)
+        grids.append(full.reshape(h, w, -1))
+    return DsaWeights(*grids, gather=((ego, *received, grids[0]), (cells, feats, at)))
 
 
 def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
@@ -263,20 +266,20 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     """Weighted agent fusion followed by the residual feed-forward block.
 
     attention_pool runs on the cells where a collaborator's map landed,
-    gathered as (N, 1, M, D). Elsewhere the ego is alone: where its weight is
-    1.0, as dsa_weights gives it there, the row is copied from ego_only_map,
-    ego_only(ego, params), computed when not given; other weights pool the
-    ego's row alone. The sorted sum starts from +0.0 and the others' values
-    are zero there, so either way a cell pools to ego_value * w_ego + 0.0
-    (an ego -0.0 becomes +0.0).
+    gathered as (N, 1, M, D), or as dsa_weights gathered them for its own maps
+    and values. Elsewhere the ego is alone: where its weight is 1.0, as
+    dsa_weights gives it there, the row is copied from ego_only_map, or
+    ego_only(ego, params) if not given; other weights pool the ego's row
+    alone. The sorted sum starts from +0.0 and the others' values are zero
+    there, so a cell pools to ego_value * w_ego + 0.0 (-0.0 becomes +0.0).
     """
     h, w = ego.grid.shape
-    # gather is ((ego, *received), _gather(ego, received)) from dsa_weights. It holds
-    # those maps alive, so equal ids mean the same map objects.
-    maps, gathered = weights.gather or ((), None)
-    if [*map(id, maps)] != [*map(id, (ego, *received))]:
-        gathered = _gather(ego, received)
-    present, cells, feats = gathered
+    # gather is ((ego, *received, values), (cells, feats, weights at cells)) from
+    # dsa_weights. It holds those objects alive, so equal ids mean the same ones.
+    seen, (cells, feats, at) = weights.gather or ((), (None,) * 3)
+    reuse = [*map(id, seen)] == [*map(id, (ego, *received, weights.values))]
+    if not reuse:
+        cells, _, feats = _gather(ego, received)
     if weights.values.shape != (h, w, len(feats)):
         raise ShapeMismatch("weights shape disagrees with agents")
     if ego_only_map is None:
@@ -285,9 +288,11 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
         raise ShapeMismatch("ego-only map shape disagrees with the ego map")
     flat = weights.values.reshape(h * w, -1)
     out = ego_only_map.reshape(h * w, ego.d).copy()
-    out[cells] = attention_pool(feats, flat[cells].T[:, None], params, canonical_sum)[0][0]
-    other = _rows(~present[:, 1:].any(axis=1) & (flat[:, 0] != 1.0))
-    if other.size:
+    out[cells] = attention_pool(feats, at if reuse else flat[cells].T[:, None], params,
+                                canonical_sum)[0][0]
+    other = () if reuse else _rows((np.bincount(cells, minlength=h * w) == 0)
+                                   & (flat[:, 0] != 1.0))  # reuse: 1.0 there
+    if len(other):
         out[other] = attention_pool(ego.values.reshape(h * w, ego.d)[other][None, None],
                                     flat[other, :1].T[:, None], params, canonical_sum)[0][0]
     return FusedMap(ego.grid, out.reshape(h, w, ego.d), weights.values)

@@ -89,7 +89,7 @@ def _attention_params(init_mode, d_channels, n_heads, d_ff, qk_scale, attn_seed)
 @dataclass(frozen=True)
 class SceneInputs:
     """Per-world tensors shared by the evaluation and training paths, all read-only;
-    ego_fused is ego_only(ego map, attention), the fused map where no message lands."""
+    maps are per-agent views of features; ego_fused = ego_only(maps[0], attention)."""
 
     world: ScenarioWorld
     grid: GridSpec
@@ -102,16 +102,24 @@ class SceneInputs:
     sector_map: np.ndarray = field(repr=False)  # (H, W)
     attention: AttentionParams = field(repr=False)
     ego_fused: np.ndarray = field(repr=False)   # (H, W, D)
+    maps: tuple[BevFeatureMap, ...] = field(repr=False, compare=False)
 
     @property
     def n_collaborators(self) -> int:
         return self.features.shape[0] - 1
 
     def ego_map(self) -> BevFeatureMap:
-        return BevFeatureMap(self.grid, self.features[0])
+        return self.maps[0]
 
     def collaborator_map(self, k: int) -> BevFeatureMap:
-        return BevFeatureMap(self.grid, self.features[k + 1])
+        return self.maps[k + 1]
+
+    def __getstate__(self):  # features pickle once; __setstate__ makes the maps again
+        return {**vars(self), "maps": None}
+
+    def __setstate__(self, state):
+        vars(self).update(state, maps=tuple(BevFeatureMap(state["grid"], f)
+                                            for f in state["features"]))
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,14 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
         q0 = np.repeat(gap[:, :, None], k, axis=2)
     else:
         raise ValueError(f"unknown q0_mode {settings.q0_mode!r}")
+    maps = tuple(BevFeatureMap(grid, f) for f in feats)
     attention = settings.attention_params()
-    ego_fused = ego_only(BevFeatureMap(grid, feats[0]), attention)
-    for arr in (de, pe, q0, feats, ego_fused):
+    ego_fused = ego_only(maps[0], attention)
+    for arr in (de, pe, q0, feats, ego_fused, *(m.values for m in maps)):
         arr.setflags(write=False)
     return SceneInputs(world=world, grid=grid, partition=partition, mask=mask,
                        de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map,
-                       attention=attention, ego_fused=ego_fused)
+                       attention=attention, ego_fused=ego_fused, maps=maps)
 
 
 def score_scene(scene: SceneInputs, de: np.ndarray,

@@ -117,6 +117,10 @@ def cell_dropout_uniforms(seed: int, agent_index: int, h: int, w: int) -> np.nda
     return (key >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
+class _Footprints(list):
+    """_footprints' per-box cell lists; arrays holds their rows, cols and owners."""
+
+
 def _footprints(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
     """Cells whose squares overlap each box with positive area, row-major per box.
 
@@ -154,7 +158,9 @@ def _footprints(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
         keep[i] = intersection_area(boxes[owner[i]], cell_box) > 1e-12
     kept = list(zip(rows[keep].tolist(), cols[keep].tolist()))
     ends = np.cumsum(np.bincount(owner[keep], minlength=len(spans))).tolist()
-    return [kept[a:b] for a, b in zip([0] + ends, ends)]
+    out = _Footprints(kept[a:b] for a, b in zip([0] + ends, ends))
+    out.arrays = rows[keep], cols[keep], owner[keep]
+    return out
 
 
 def _box_arrays(boxes) -> np.ndarray:
@@ -247,25 +253,25 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
             raise PlacementExhausted(
                 f"could not place vehicle {len(vehicles)} after {_MAX_ATTEMPTS} attempts")
 
-    vehicle_cells = tuple(map(tuple, _footprints(vehicles, grid)))
+    footprints = _footprints(vehicles, grid)
     observations = np.zeros((len(agent_points), grid.h, grid.w), dtype=np.uint8)
-    arrays = _world_arrays(grid, vehicles, vehicle_cells)
+    arrays = _world_arrays(grid, vehicles, footprints)
     for agent, pos in enumerate(agent_points):
-        observations[agent] = _observe_grid(config, grid, vehicles, vehicle_cells,
+        observations[agent] = _observe_grid(config, grid, vehicles, footprints,
                                             pos, agent, arrays)
 
     return ScenarioWorld(config=config, grid=grid, partition=partition, ego_pose=ego,
                          collaborator_poses=tuple(collaborators), rsu_pose=ego,
                          vehicles=tuple(vehicles),
                          per_agent_observations=observations,
-                         vehicle_cells=vehicle_cells)
+                         vehicle_cells=tuple(map(tuple, footprints)))
 
 
 def _world_arrays(grid: GridSpec, vehicles, vehicle_cells):
     """_observe_grid's per-world part: footprint rows, cols, owners, centers; boxes."""
-    rows, cols = np.array([rc for cells in vehicle_cells for rc in cells],
-                          dtype=np.intp).reshape(-1, 2).T
-    owner = np.repeat(np.arange(len(vehicle_cells)), [len(cells) for cells in vehicle_cells])
+    rows, cols, owner = getattr(vehicle_cells, "arrays", None) or (*np.array(
+        [rc for cells in vehicle_cells for rc in cells], dtype=np.intp).reshape(-1, 2).T,
+        np.repeat(np.arange(len(vehicle_cells)), [len(cells) for cells in vehicle_cells]))
     return rows, cols, owner, grid.centers[rows, cols], _box_arrays(vehicles)
 
 

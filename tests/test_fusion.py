@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,7 @@ def assert_matches_dense(ego, received, qcm, params):
     ref = dense_dsa_weights(ego, received, qcm, params)
     for name in ("values", "pre_qcm", "present"):
         assert same_bytes(getattr(got, name), getattr(ref, name)), name
+        assert not getattr(got, name).flags.writeable, name
     fused = fuse(ego, received, got, params)
     ref_fused = dense_fuse(ego, received, ref, params)
     assert same_bytes(fused.values, ref_fused.values)
@@ -338,6 +340,18 @@ class TestGatherMatchesDense:
         assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
 
     @pytest.mark.parametrize("params", PARAMS)
+    def test_fuse_pools_replaced_weights_not_the_gathered_ones(self, params):
+        rng = np.random.default_rng(51)
+        ego = BevFeatureMap(GridSpec(6, 7, 1.0), rng.normal(size=(6, 7, 8)))
+        received = random_received(rng, (6, 7, 8), 3, 0.3)
+        weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
+        for other in (weights.values * 0.5, 1.0 - weights.values, weights.values.copy()):
+            stale = replace(weights, values=other)  # the same maps and gather
+            assert stale.gather is weights.gather
+            got = fuse(ego, received, stale, params)
+            assert same_bytes(got.values, dense_fuse(ego, received, stale, params).values)
+
+    @pytest.mark.parametrize("params", PARAMS)
     def test_lone_cell_beside_a_map_with_no_entries(self, params):
         rng = np.random.default_rng(46)
         ego = BevFeatureMap(GridSpec(5, 6, 1.0), rng.normal(size=(5, 6, 8)))
@@ -358,11 +372,11 @@ class TestGatherMatchesDense:
                     sparse_from_dense(rng.normal(size=(7, 6, 8)), cells),
                     None, sparse_from_dense(rng.normal(size=(7, 6, 8)), every[1::7])
                     if case == "sparse" else None]
-        present, rows, feats = _gather(ego, received)
+        rows, present, feats = _gather(ego, received)
         stacked, stacked_present = stack_agents(ego, received)
-        assert same_bytes(present, stacked_present.reshape(4, -1).T)
         assert np.array_equal(rows, _rows(stacked_present[1:].any(axis=0).ravel()))
         assert len(rows) == {"none": 0, "empty": 0, "lone": 2}.get(case, len(set(rows)))
+        assert same_bytes(present, stacked_present.reshape(4, 1, -1)[:, :, rows])
         assert feats.flags.c_contiguous
         assert same_bytes(feats, stacked.reshape(4, 1, -1, 8)[:, :, rows])
 

@@ -137,6 +137,23 @@ class TestSceneMemo:
                 arr.flat[0] = 0.5
 
     @pytest.mark.parametrize("world_name", sorted(WORLDS))
+    def test_maps_are_read_only_views_of_features_pickled_once(self, world_name):
+        scene = prepare_scene(generate(ScenarioConfig(seed=6, **WORLDS[world_name])),
+                              RunSettings())
+        shipped = pickle.loads(pickle.dumps(scene))  # unpickled arrays are writable
+        for s in (scene, shipped):
+            maps = [s.ego_map(), *map(s.collaborator_map, range(s.n_collaborators))]
+            assert maps[0] is s.ego_map() and maps[1] is s.collaborator_map(0)
+            for k, fmap in enumerate(maps):
+                assert fmap.grid == s.grid
+                assert np.shares_memory(fmap.values, s.features[k])
+                assert fmap.values.tobytes() == s.features[k].tobytes()
+                assert fmap.values.flags.writeable == (s is shipped)
+        bare = {f.name: getattr(scene, f.name) for f in fields(scene) if f.name != "maps"}
+        size = len(pickle.dumps(scene))
+        assert abs(size - len(pickle.dumps(bare))) <= 0.01 * size
+
+    @pytest.mark.parametrize("world_name", sorted(WORLDS))
     def test_a_pickled_scene_runs_the_same_bytes(self, world_name):
         settings = RunSettings()
         scene = prepare_scene(generate(ScenarioConfig(seed=6, **WORLDS[world_name])),
