@@ -27,6 +27,13 @@ class BevFeatureMap:
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _checked(cls, grid: GridSpec, values: np.ndarray) -> "BevFeatureMap":
+        """A map of values that __post_init__ has already checked, not checked again."""
+        fmap = object.__new__(cls)
+        vars(fmap).update(grid=grid, values=values)
+        return fmap
+
     @property
     def d(self) -> int:
         return self.values.shape[2]

@@ -265,36 +265,23 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
          ego_only_map: np.ndarray | None = None) -> FusedMap:
     """Weighted agent fusion followed by the residual feed-forward block.
 
-    attention_pool runs on the cells where a collaborator's map landed,
-    gathered as (N, 1, M, D), or as dsa_weights gathered them for its own maps
-    and values. Elsewhere the ego is alone: where its weight is 1.0, as
-    dsa_weights gives it there, the row is copied from ego_only_map, or
-    ego_only(ego, params) if not given; other weights pool the ego's row
-    alone. The sorted sum starts from +0.0 and the others' values are zero
-    there, so a cell pools to ego_value * w_ego + 0.0 (-0.0 becomes +0.0).
+    weights must be dsa_weights' own output for these very maps: attention_pool
+    runs on the landed cells, features and weights it gathered. Elsewhere the
+    ego is alone at weight 1.0, so the row is copied from ego_only_map, or
+    ego_only(ego, params) if not given.
     """
     h, w = ego.grid.shape
     # gather is ((ego, *received, values), (cells, feats, weights at cells)) from
     # dsa_weights. It holds those objects alive, so equal ids mean the same ones.
     seen, (cells, feats, at) = weights.gather or ((), (None,) * 3)
-    reuse = [*map(id, seen)] == [*map(id, (ego, *received, weights.values))]
-    if not reuse:
-        cells, _, feats = _gather(ego, received)
-    if weights.values.shape != (h, w, len(feats)):
-        raise ShapeMismatch("weights shape disagrees with agents")
+    if [*map(id, seen)] != [*map(id, (ego, *received, weights.values))]:
+        raise ShapeMismatch("weights are not dsa_weights' output for these maps")
     if ego_only_map is None:
         ego_only_map = ego_only(ego, params)
     elif ego_only_map.shape != ego.values.shape:
         raise ShapeMismatch("ego-only map shape disagrees with the ego map")
-    flat = weights.values.reshape(h * w, -1)
     out = ego_only_map.reshape(h * w, ego.d).copy()
-    out[cells] = attention_pool(feats, at if reuse else flat[cells].T[:, None], params,
-                                canonical_sum)[0][0]
-    other = () if reuse else _rows((np.bincount(cells, minlength=h * w) == 0)
-                                   & (flat[:, 0] != 1.0))  # reuse: 1.0 there
-    if len(other):
-        out[other] = attention_pool(ego.values.reshape(h * w, ego.d)[other][None, None],
-                                    flat[other, :1].T[:, None], params, canonical_sum)[0][0]
+    out[cells] = attention_pool(feats, at, params, canonical_sum)[0][0]
     return FusedMap(ego.grid, out.reshape(h, w, ego.d), weights.values)
 
 

@@ -23,7 +23,7 @@ from .comms import (
     score_mlp_forward,
     top_cells,
 )
-from .fusion import AttentionParams, attention_pool, attention_weights
+from .fusion import attention_pool, attention_weights
 from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
@@ -55,7 +55,7 @@ def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
     """
     out = np.zeros((grid.h, grid.w, 7), dtype=np.float64)
     if footprints is None:
-        footprints = _footprints(boxes, grid)
+        footprints = _footprints(boxes, grid)[0]
     for box, cells in zip(boxes, footprints):
         for r, c in cells:
             out[r, c, 0] = 1.0
@@ -236,7 +236,7 @@ def _objective(fused_values: np.ndarray, tscene: TrainScene, settings: RunSettin
 
 
 def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
-                 settings: RunSettings, attn: AttentionParams | None = None):
+                 settings: RunSettings):
     """Differentiable surrogate of the full pipeline; returns (loss, grads, per_dir).
 
     The forward runs the evaluation path's attention kernel with every agent
@@ -244,8 +244,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     flow to the scorer parameters only; attention parameters stay fixed.
     """
     scene = tscene.scene
-    if attn is None:
-        attn = settings.attention_params()
+    attn = settings.attention_params()
     n, h, w, d = scene.features.shape
     k = n - 1
     hw = h * w
@@ -333,7 +332,6 @@ def train_scorer(params: ScorerParams, scenes: list[TrainScene], budget: float,
         raise ValueError("steps must be >= 1")
     if not scenes:
         raise ValueError("need at least one training scene")
-    attn = settings.attention_params()
     current = params
     history: list[dict] = []
     hard0 = float(np.mean([hard_path_loss(current, ts, budget, settings)
@@ -343,7 +341,7 @@ def train_scorer(params: ScorerParams, scenes: list[TrainScene], budget: float,
         grad_acc = ScorerParams.zeros(current.hidden)
         per_dir_acc = np.zeros(settings.n_dir)
         for ts in scenes:
-            loss, grads, per_dir = soft_forward(current, ts, budget, settings, attn)
+            loss, grads, per_dir = soft_forward(current, ts, budget, settings)
             losses.append(loss)
             grad_acc = grad_acc.scaled_add(grads, 1.0)
             per_dir_acc += per_dir

@@ -88,8 +88,8 @@ def _attention_params(init_mode, d_channels, n_heads, d_ff, qk_scale, attn_seed)
 
 @dataclass(frozen=True)
 class SceneInputs:
-    """Per-world tensors shared by the evaluation and training paths, all read-only;
-    maps are per-agent views of features; ego_fused = ego_only(maps[0], attention)."""
+    """Per-world tensors shared by the evaluation and training paths, all read-only,
+    also once unpickled; ego_fused = ego_only(ego_map(), attention)."""
 
     world: ScenarioWorld
     grid: GridSpec
@@ -102,24 +102,23 @@ class SceneInputs:
     sector_map: np.ndarray = field(repr=False)  # (H, W)
     attention: AttentionParams = field(repr=False)
     ego_fused: np.ndarray = field(repr=False)   # (H, W, D)
-    maps: tuple[BevFeatureMap, ...] = field(repr=False, compare=False)
 
     @property
     def n_collaborators(self) -> int:
         return self.features.shape[0] - 1
 
     def ego_map(self) -> BevFeatureMap:
-        return self.maps[0]
+        return BevFeatureMap._checked(self.grid, self.features[0])
 
     def collaborator_map(self, k: int) -> BevFeatureMap:
-        return self.maps[k + 1]
+        return BevFeatureMap._checked(self.grid, self.features[k + 1])
 
-    def __getstate__(self):  # features pickle once; __setstate__ makes the maps again
-        return {**vars(self), "maps": None}
-
-    def __setstate__(self, state):
-        vars(self).update(state, maps=tuple(BevFeatureMap(state["grid"], f)
-                                            for f in state["features"]))
+    def __setstate__(self, state):  # pickle hands the arrays back writable
+        vars(self).update(state)
+        attention = (getattr(self.attention, f.name) for f in fields(self.attention)[1:])
+        for arr in (self.de, self.pe, self.q0, self.features, self.sector_map,
+                    self.ego_fused, *attention):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -172,14 +171,13 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
         q0 = np.repeat(gap[:, :, None], k, axis=2)
     else:
         raise ValueError(f"unknown q0_mode {settings.q0_mode!r}")
-    maps = tuple(BevFeatureMap(grid, f) for f in feats)
     attention = settings.attention_params()
-    ego_fused = ego_only(maps[0], attention)
-    for arr in (de, pe, q0, feats, ego_fused, *(m.values for m in maps)):
+    ego_fused = ego_only(BevFeatureMap._checked(grid, feats[0]), attention)
+    for arr in (de, pe, q0, feats, ego_fused):
         arr.setflags(write=False)
     return SceneInputs(world=world, grid=grid, partition=partition, mask=mask,
                        de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map,
-                       attention=attention, ego_fused=ego_fused, maps=maps)
+                       attention=attention, ego_fused=ego_fused)
 
 
 def score_scene(scene: SceneInputs, de: np.ndarray,

@@ -117,12 +117,9 @@ def cell_dropout_uniforms(seed: int, agent_index: int, h: int, w: int) -> np.nda
     return (key >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-class _Footprints(list):
-    """_footprints' per-box cell lists; arrays holds their rows, cols and owners."""
-
-
-def _footprints(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
-    """Cells whose squares overlap each box with positive area, row-major per box.
+def _footprints(boxes, grid: GridSpec):
+    """Cells whose squares overlap each box with positive area, row-major per box,
+    and the same cells as arrays: (cells per box, (rows, cols, owner box)).
 
     depth is the shortest overlap (negative: the widest gap) of the cell's and
     the box's projections on the cell axes and the box's heading and normal,
@@ -156,11 +153,10 @@ def _footprints(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
         cx, cy = grid.center_of(int(rows[i]), int(cols[i]))
         cell_box = RotatedBox(1.0, cx, cy, grid.cell_size, grid.cell_size, 1.0, 0.0)
         keep[i] = intersection_area(boxes[owner[i]], cell_box) > 1e-12
-    kept = list(zip(rows[keep].tolist(), cols[keep].tolist()))
-    ends = np.cumsum(np.bincount(owner[keep], minlength=len(spans))).tolist()
-    out = _Footprints(kept[a:b] for a, b in zip([0] + ends, ends))
-    out.arrays = rows[keep], cols[keep], owner[keep]
-    return out
+    rows, cols, owner = rows[keep], cols[keep], owner[keep]
+    kept = list(zip(rows.tolist(), cols.tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=len(spans))).tolist()
+    return [kept[a:b] for a, b in zip([0] + ends, ends)], (rows, cols, owner)
 
 
 def _box_arrays(boxes) -> np.ndarray:
@@ -253,12 +249,11 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
             raise PlacementExhausted(
                 f"could not place vehicle {len(vehicles)} after {_MAX_ATTEMPTS} attempts")
 
-    footprints = _footprints(vehicles, grid)
+    footprints, (rows, cols, owner) = _footprints(vehicles, grid)
     observations = np.zeros((len(agent_points), grid.h, grid.w), dtype=np.uint8)
-    arrays = _world_arrays(grid, vehicles, footprints)
+    arrays = rows, cols, owner, grid.centers[rows, cols], _box_arrays(vehicles)
     for agent, pos in enumerate(agent_points):
-        observations[agent] = _observe_grid(config, grid, vehicles, footprints,
-                                            pos, agent, arrays)
+        observations[agent] = _observe_grid(config, grid, pos, agent, arrays)
 
     return ScenarioWorld(config=config, grid=grid, partition=partition, ego_pose=ego,
                          collaborator_poses=tuple(collaborators), rsu_pose=ego,
@@ -267,18 +262,12 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
                          vehicle_cells=tuple(map(tuple, footprints)))
 
 
-def _world_arrays(grid: GridSpec, vehicles, vehicle_cells):
-    """_observe_grid's per-world part: footprint rows, cols, owners, centers; boxes."""
-    rows, cols, owner = getattr(vehicle_cells, "arrays", None) or (*np.array(
-        [rc for cells in vehicle_cells for rc in cells], dtype=np.intp).reshape(-1, 2).T,
-        np.repeat(np.arange(len(vehicle_cells)), [len(cells) for cells in vehicle_cells]))
-    return rows, cols, owner, grid.centers[rows, cols], _box_arrays(vehicles)
-
-
-def _observe_grid(config: ScenarioConfig, grid: GridSpec, vehicles, vehicle_cells,
-                  pos: tuple[float, float], agent_index: int, arrays=None) -> np.ndarray:
+def _observe_grid(config: ScenarioConfig, grid: GridSpec, pos: tuple[float, float],
+                  agent_index: int, arrays) -> np.ndarray:
+    """Evidence grid of one agent. arrays is generate's per-world part: the footprint
+    cells' rows, cols, owner boxes and centers, and the boxes' _box_arrays."""
     evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
-    rows, cols, owner, centers, boxes = arrays or _world_arrays(grid, vehicles, vehicle_cells)
+    rows, cols, owner, centers, boxes = arrays
     visible = ((centers - pos) ** 2).sum(axis=1) <= config.sensor_range ** 2
     rows, cols, owner, centers = rows[visible], cols[visible], owner[visible], centers[visible]
     if config.occlusion_enabled and rows.size:

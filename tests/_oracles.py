@@ -167,9 +167,13 @@ def footprint_cells_per_cell(box: RotatedBox, grid: GridSpec) -> list[tuple[int,
     return cells
 
 
-def footprints_per_cell(boxes, grid: GridSpec) -> list[list[tuple[int, int]]]:
-    """scenario._footprints as footprint_cells_per_cell on each box in turn."""
-    return [footprint_cells_per_cell(box, grid) for box in boxes]
+def footprints_per_cell(boxes, grid: GridSpec):
+    """scenario._footprints as footprint_cells_per_cell on each box in turn:
+    (cells per box, (rows, cols, owner box))."""
+    cells = [footprint_cells_per_cell(box, grid) for box in boxes]
+    rows, cols = np.array([rc for box_cells in cells for rc in box_cells],
+                          dtype=np.intp).reshape(-1, 2).T
+    return cells, (rows, cols, np.repeat(np.arange(len(cells)), [len(c) for c in cells]))
 
 
 def observe_grid_per_vehicle(config: ScenarioConfig, grid: GridSpec, vehicles,
@@ -197,25 +201,28 @@ def observe_grid_per_vehicle(config: ScenarioConfig, grid: GridSpec, vehicles,
     return evidence
 
 
-def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec, vehicles,
-                             vehicle_cells, pos: tuple[float, float],
-                             agent_index: int, arrays=None) -> np.ndarray:
+def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec,
+                             pos: tuple[float, float], agent_index: int,
+                             arrays) -> np.ndarray:
     """Evidence grid of one agent: one scalar segment test per (cell, blocker).
 
-    arrays, the per-world footprint arrays generate passes in, is not read.
+    Of arrays, generate's per-world part, it reads the footprint cells' rows,
+    cols and owners and the boxes, not the batched cell centers.
     """
+    rows, cols, owner, _, boxes = arrays
+    vehicles = [RotatedBox(1.0, cx, cy, 2.0 * hl, 2.0 * hw, c, s)
+                for cx, cy, c, s, hl, hw in boxes[:, :, 0].T.tolist()]
     evidence = np.zeros((grid.h, grid.w), dtype=np.uint8)
     range_sq = config.sensor_range ** 2
-    for vi, cells in enumerate(vehicle_cells):
-        for r, c in cells:
-            x, y = grid.center_of(r, c)
-            if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 > range_sq:
-                continue
-            if config.occlusion_enabled and any(
-                    segment_intersects_box(pos, (x, y), blocker)
-                    for wi, blocker in enumerate(vehicles) if wi != vi):
-                continue
-            evidence[r, c] = 1
+    for r, c, vi in zip(rows.tolist(), cols.tolist(), owner.tolist()):
+        x, y = grid.center_of(r, c)
+        if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 > range_sq:
+            continue
+        if config.occlusion_enabled and any(
+                segment_intersects_box(pos, (x, y), blocker)
+                for wi, blocker in enumerate(vehicles) if wi != vi):
+            continue
+        evidence[r, c] = 1
     if config.dropout_prob > 0.0:
         keep = cell_dropout_uniforms(config.seed, agent_index, grid.h, grid.w) \
             >= config.dropout_prob
@@ -307,7 +314,7 @@ def soft_attention_pool(feats, weights, params, total):
     return s + relu_u @ params.ffn_w2.T + params.ffn_b2, v, u
 
 
-def soft_forward_loops(params, tscene, budget, settings, attn=None):
+def soft_forward_loops(params, tscene, budget, settings):
     """soft_forward as written before the shared kernel: per-collaborator loops
     for the soft clip and its backward, the inline attention above, and its own
     lexsort ranking. Returns (loss, grads, per_direction)."""
@@ -315,8 +322,7 @@ def soft_forward_loops(params, tscene, budget, settings, attn=None):
     from dircp.num import sigmoid
 
     scene = tscene.scene
-    if attn is None:
-        attn = settings.attention_params()
+    attn = settings.attention_params()
     f = scene.features
     n, h, w, d = f.shape
     k = n - 1
@@ -589,15 +595,14 @@ def objective_reference(fused_values, tscene, settings):
     return dw_loss(parts["total"], tscene.scene.mask, settings.loss_sigma), parts["total"], pred
 
 
-def soft_forward_reference(params, tscene, budget, settings, attn=None, want_grad=True):
+def soft_forward_reference(params, tscene, budget, settings, want_grad=True):
     """learn.soft_forward as it was before the per-scene loss constants: the loss
     and its gradient rebuilt from boolean sector masks, the two-branch sigmoid, the
     out-of-place scorer MLP and the inline attention above."""
     from dircp.comms import per_collaborator_budget
 
     scene = tscene.scene
-    if attn is None:
-        attn = settings.attention_params()
+    attn = settings.attention_params()
     f = scene.features
     n, h, w, d = f.shape
     k = n - 1

@@ -288,19 +288,17 @@ class TestGatherMatchesDense:
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_fuse_with_ego_weight_not_one(self, params):
+        # Weights dsa_weights did not make, here with ego weights other than 1.0
+        # where nothing landed, are rejected: fuse pools only dsa_weights' gather.
         rng = np.random.default_rng(44)
-        ego_values = rng.normal(size=(8, 8, 8))
-        ego_values[1] = -0.0
-        ego = BevFeatureMap(GridSpec(8, 8, 1.0), ego_values)
+        ego = BevFeatureMap(GridSpec(8, 8, 1.0), rng.normal(size=(8, 8, 8)))
         received = random_received(rng, (8, 8, 8), 4, 0.1)
         wv = rng.uniform(0.0, 2.0, (8, 8, 5))
-        wv[rng.uniform(size=wv.shape) < 0.3] = 0.0
         wv[3, :, 0] = 0.0
         weights = DsaWeights(values=wv, pre_qcm=wv, present=np.ones(wv.shape, dtype=bool))
-        got = fuse(ego, received, weights, params)
-        ref = dense_fuse(ego, received, weights, params)
-        assert same_bytes(got.values, ref.values)
-        assert same_bytes(got.attention_trace, ref.attention_trace)
+        assert weights.gather is None
+        with pytest.raises(ShapeMismatch, match="dsa_weights"):
+            fuse(ego, received, weights, params)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_fuse_reuses_gather_only_for_the_maps_dsa_weights_saw(self, monkeypatch, params):
@@ -323,24 +321,19 @@ class TestGatherMatchesDense:
                             lambda *a: calls.append(a) or real_gather(*a))
         for e, maps in ((other_ego, mutated), (ego, other), (ego, mutated),
                         (ego, mutated[:2]), (ego, mutated + [None])):
-            calls.clear()
-            if len(maps) != 3:
-                with pytest.raises(ShapeMismatch):
-                    fuse(e, maps, weights, params)
-            else:
-                got = fuse(e, maps, weights, params)
-                assert same_bytes(got.values, dense_fuse(e, maps, weights, params).values)
-            assert len(calls) == 1
+            with pytest.raises(ShapeMismatch):
+                fuse(e, maps, weights, params)
         fresh = [None if m is None else SparseFeatureMap(m.rows, m.cols, m.values, m.shape)
                  for m in mutated]
         weights = dsa_weights(ego, fresh, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
         calls.clear()
         got = fuse(ego, fresh, weights, params)
-        assert calls == []  # the same objects: dsa_weights' gather is reused
+        assert calls == []  # the same objects: dsa_weights' gather is pooled
         assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_fuse_pools_replaced_weights_not_the_gathered_ones(self, params):
+        # replace() keeps the gather but not the values array dsa_weights made.
         rng = np.random.default_rng(51)
         ego = BevFeatureMap(GridSpec(6, 7, 1.0), rng.normal(size=(6, 7, 8)))
         received = random_received(rng, (6, 7, 8), 3, 0.3)
@@ -348,8 +341,10 @@ class TestGatherMatchesDense:
         for other in (weights.values * 0.5, 1.0 - weights.values, weights.values.copy()):
             stale = replace(weights, values=other)  # the same maps and gather
             assert stale.gather is weights.gather
-            got = fuse(ego, received, stale, params)
-            assert same_bytes(got.values, dense_fuse(ego, received, stale, params).values)
+            with pytest.raises(ShapeMismatch):
+                fuse(ego, received, stale, params)
+        got = fuse(ego, received, replace(weights), params)  # the very values array
+        assert same_bytes(got.values, dense_fuse(ego, received, weights, params).values)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_lone_cell_beside_a_map_with_no_entries(self, params):

@@ -357,11 +357,10 @@ class TestSoftForwardMatchesReference:
         ts = make_train_scene(prepare_scene(generate(ScenarioConfig(seed=1)), settings))
         assert ts.scene.features.shape == (5, 64, 64, 8)
         params = ScorerParams.random(8, seed=0, scale=0.3)
-        attn = settings.attention_params()
-        soft_forward(params, ts, 0.2, settings, attn)  # builds the scene's loss constants
+        soft_forward(params, ts, 0.2, settings)  # caches the attention params untraced
         tracemalloc.start()
         try:
-            soft_forward(params, ts, 0.2, settings, attn)
+            soft_forward(params, ts, 0.2, settings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import fields, replace
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dircp import pipeline
 from dircp.comms import ScorerParams, build_message, serialize
 from dircp.fusion import AttentionParams, ego_only
+from dircp.learn import training_scenes
 from dircp.pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
 from dircp.scenario import ScenarioConfig, generate
 
@@ -136,22 +138,40 @@ class TestSceneMemo:
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
 
+    @staticmethod
+    def assert_read_only(s):
+        maps = [s.ego_map(), *map(s.collaborator_map, range(s.n_collaborators))]
+        for k, fmap in enumerate(maps):
+            assert fmap.grid == s.grid
+            assert np.shares_memory(fmap.values, s.features[k])
+            assert fmap.values.tobytes() == s.features[k].tobytes()
+            assert not fmap.values.flags.writeable
+        attention = [getattr(s.attention, f.name) for f in fields(s.attention)[1:]]
+        for arr in (s.de, s.pe, s.q0, s.features, s.sector_map, s.ego_fused, *attention):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.5
+
     @pytest.mark.parametrize("world_name", sorted(WORLDS))
     def test_maps_are_read_only_views_of_features_pickled_once(self, world_name):
         scene = prepare_scene(generate(ScenarioConfig(seed=6, **WORLDS[world_name])),
                               RunSettings())
-        shipped = pickle.loads(pickle.dumps(scene))  # unpickled arrays are writable
+        shipped = pickle.loads(pickle.dumps(scene))
         for s in (scene, shipped):
-            maps = [s.ego_map(), *map(s.collaborator_map, range(s.n_collaborators))]
-            assert maps[0] is s.ego_map() and maps[1] is s.collaborator_map(0)
-            for k, fmap in enumerate(maps):
-                assert fmap.grid == s.grid
-                assert np.shares_memory(fmap.values, s.features[k])
-                assert fmap.values.tobytes() == s.features[k].tobytes()
-                assert fmap.values.flags.writeable == (s is shipped)
-        bare = {f.name: getattr(scene, f.name) for f in fields(scene) if f.name != "maps"}
+            self.assert_read_only(s)
+        bare = {f.name: getattr(scene, f.name) for f in fields(scene)}
         size = len(pickle.dumps(scene))
         assert abs(size - len(pickle.dumps(bare))) <= 0.01 * size
+
+    def test_a_shipped_train_scene_list_stays_read_only(self):
+        settings = RunSettings()
+        scenes = training_scenes(ScenarioConfig(seed=8), settings, 2)
+        # The task train_sigma_scorers hands a worker, pickled as the pool does.
+        task = (scenes, settings, 1.0, 0.2, 5, 0.5, 8)
+        shipped = pickle.loads(ForkingPickler.dumps(task))[0]
+        for ts, sent in zip(shipped, scenes, strict=True):
+            self.assert_read_only(ts.scene)
+            assert ts.scene.features.tobytes() == sent.scene.features.tobytes()
+            assert ts.scene.ego_fused.tobytes() == sent.scene.ego_fused.tobytes()
 
     @pytest.mark.parametrize("world_name", sorted(WORLDS))
     def test_a_pickled_scene_runs_the_same_bytes(self, world_name):

@@ -13,6 +13,7 @@ from dircp.scenario import (
     PlacementExhausted,
     ScenarioConfig,
     UnknownAgent,
+    _box_arrays,
     _footprints,
     _observe_grid,
     cell_dropout_uniforms,
@@ -31,6 +32,12 @@ from _oracles import (
     observe_grid_per_vehicle,
     placement_scalar_draws,
 )
+
+
+def observe_arrays(vehicles, grid):
+    """The per-world arrays generate hands _observe_grid."""
+    rows, cols, owner = _footprints(vehicles, grid)[1]
+    return rows, cols, owner, grid.centers[rows, cols], _box_arrays(vehicles)
 
 
 def small_config(**kw):
@@ -149,13 +156,14 @@ class TestObserve:
         near = RotatedBox(1.0, 10.0, 16.0, 4.0, 2.0, 1.0, 0.0)
         far = RotatedBox(1.0, 20.0, 16.0, 4.0, 2.0, 1.0, 0.0)
         vehicles = [near, far]
-        cells = [tuple(c) for c in _footprints(vehicles, grid)]
-        ev = _observe_grid(cfg, grid, vehicles, cells, (2.0, 16.0), 0)
+        cells = _footprints(vehicles, grid)[0]
+        arrays = observe_arrays(vehicles, grid)
+        ev = _observe_grid(cfg, grid, (2.0, 16.0), 0, arrays)
         assert all(ev[r, c] == 1 for r, c in cells[0])
         assert all(ev[r, c] == 0 for r, c in cells[1])
         # Same construction without occlusion sees both.
         cfg_no = small_config(occlusion_enabled=False)
-        ev_no = _observe_grid(cfg_no, grid, vehicles, cells, (2.0, 16.0), 0)
+        ev_no = _observe_grid(cfg_no, grid, (2.0, 16.0), 0, arrays)
         assert all(ev_no[r, c] == 1 for r, c in cells[1])
 
     def test_sensor_range_monotonicity(self):
@@ -242,8 +250,9 @@ class TestFootprintCells:
     the per-cell clip it replaced."""
 
     def assert_matches(self, box, grid):
-        [got] = _footprints([box], grid)
+        [got], (rows, cols, owner) = _footprints([box], grid)
         assert got == footprint_cells_per_cell(box, grid)
+        assert list(zip(rows.tolist(), cols.tolist())) == got and not owner.any()
         assert all(type(r) is int and type(c) is int for r, c in got)
         return got
 
@@ -306,7 +315,7 @@ class TestFootprintCells:
         for cx, cy in ((2.5, 4.0), (11.8, 7.9), (-5.0, 4.0), (6.0, 30.0)):
             for ang in (0.0, 0.3, math.pi / 4):
                 self.assert_matches(RotatedBox.from_angle(1.0, cx, cy, 4.5, 1.8, ang), grid)
-        assert _footprints([RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0)], grid) == [[]]
+        assert _footprints([RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0)], grid)[0] == [[]]
 
     def test_many_boxes_in_one_pass(self, monkeypatch):
         clips = count_clips(monkeypatch)
@@ -320,12 +329,16 @@ class TestFootprintCells:
                   for off in (0.0, 1e-6, -1e-6, 3e-6)]
         boxes += [RotatedBox(1.0, -5.0, 4.0, 2.0, 1.0, 1.0, 0.0),   # off the grid
                   RotatedBox(1.0, 3.3, 4.6, 1e-7, 1e-7, 1.0, 0.0)]  # below the area threshold
-        got = _footprints(boxes, grid)
-        assert got == footprints_per_cell(boxes, grid)
-        assert got == [_footprints([box], grid)[0] for box in boxes]
+        got, arrays = _footprints(boxes, grid)
+        ref, ref_arrays = footprints_per_cell(boxes, grid)
+        assert got == ref
+        for a, b in zip(arrays, ref_arrays, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got == [_footprints([box], grid)[0][0] for box in boxes]
         assert {bool(cells) for cells in got[:60]} == {True, False}
         assert got[-2:] == [[], []] and clips
-        assert _footprints([], grid) == []
+        cells, arrays = _footprints([], grid)
+        assert cells == [] and [a.size for a in arrays] == [0, 0, 0]
 
     @pytest.mark.parametrize("kw", [DENSE, {}])
     def test_rasterize_truth_same_bits(self, kw):
@@ -359,9 +372,9 @@ class TestObserveBatched:
             cfg = ScenarioConfig(seed=seed, **kw)
             world = generate(cfg, grid=grid)
             agents = [world.ego_pose[:2]] + [p[:2] for p in world.collaborator_poses]
+            arrays = observe_arrays(world.vehicles, world.grid)
             for agent, pos in enumerate(agents):
-                got = _observe_grid(cfg, world.grid, world.vehicles, world.vehicle_cells,
-                                    pos, agent)
+                got = _observe_grid(cfg, world.grid, pos, agent, arrays)
                 ref = observe_grid_per_vehicle(cfg, world.grid, world.vehicles,
                                                world.vehicle_cells, pos, agent)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
