@@ -88,13 +88,18 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _load(args, pipeline: bool = True) -> tuple[RunConfig, Path]:
-    """Load the config and echo it; pipeline commands also need a collaborator."""
+    """Load the config and echo it; pipeline commands also need a collaborator, and
+    those that train the scorer the per-collaborator clip that soft_forward ranks."""
     overrides = {}
     if getattr(args, "output", None):
         overrides["output.directory"] = args.output
     cfg = load_config(args.config, overrides=overrides)
     _require(not pipeline or cfg.scenario.n_collaborators >= 1,
              f"scenario.n_collaborators: dircp {args.command} needs at least one")
+    trains = args.command == "train" or (args.command == "sweep" and cfg.scorer == "mlp")
+    _require(not trains or cfg.settings.tie_break == "per_collaborator",
+             f"comms.tie_break: dircp {args.command} trains the scorer for the "
+             "per_collaborator clip only")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text(out_dir / "effective.cfg", effective_config_text(cfg))

@@ -14,7 +14,7 @@ from .grid import GridSpec
 from .num import canonical_sum, sigmoid
 
 KEY_EVIDENCE_GAIN = 2.0
-_EGO_ONLY_BLOCK = 512  # rows per attention_pool call in ego_only
+_EGO_ONLY_BLOCK = 512  # rows per attention call in ego_only
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,6 @@ class AttentionParams:
         into the decay row (KEY_EVIDENCE_GAIN), so keys carrying evidence
         outrank empty (junk) transmissions at every cell whatever the ego sees.
         """
-        if d % n_heads != 0:
-            raise ValueError("D must be divisible by n_heads")
         if d_ff is None:
             d_ff = 2 * d
         dh = d // n_heads
@@ -91,8 +89,6 @@ class AttentionParams:
     @classmethod
     def random(cls, d: int, n_heads: int = 2, d_ff: int | None = None,
                seed: int = 0, scale: float = 0.2) -> "AttentionParams":
-        if d % n_heads != 0:
-            raise ValueError("D must be divisible by n_heads")
         if d_ff is None:
             d_ff = 2 * d
         dh = d // n_heads
@@ -171,19 +167,20 @@ def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
     return cells, present, feats
 
 
-def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
-                      confidence: np.ndarray, params: AttentionParams, total):
-    """Weights half of the attention kernel; agents on axis 0, the ego first.
+def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
+              confidence: np.ndarray, params: AttentionParams, total):
+    """The attention kernel; agents on axis 0, the ego first.
 
     Per head, a scaled dot-product softmax of the ego's queries (H, W, D) over
     the keys (N, H, W, D) of the agents present (N, H, W) at each cell; the
-    head average is scaled by confidence, 1 for the ego and (H, W, N-1) for
-    the others. total(x, axis) sums over agents. Returns (weights, pre, conf),
-    each (N, H, W), and per head the softmax and queries the backward reads.
+    head average, pre, is scaled by confidence, 1 for the ego and (H, W, N-1)
+    for the others, and pools the agents' values ahead of the residual FFN.
+    total(x, axis) sums over agents. Returns the fused (H, W, D) map, the
+    weights and pre (N, H, W), and the tape of arrays attention_backward reads.
     """
     scale = 1.0 / math.sqrt(params.head_dim)
     pre = np.zeros(present.shape, dtype=np.float64)
-    probs, queries = [], []
+    heads = []
     for head in range(params.n_heads):
         q = ego @ params.wq[head].T
         e = np.einsum("hwd,nhwd->nhw", q, feats @ params.wk[head].T) * scale
@@ -191,25 +188,46 @@ def attention_weights(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
         ex = np.where(present, np.exp(e - e.max(axis=0)), 0.0)
         a = ex / total(ex, axis=0)
         pre += a
-        probs.append(a)
-        queries.append(q)
+        heads += [a, q]
     pre /= params.n_heads
+    del e, ex  # the last head's: the pooling below is where the kernel peaks
     conf = np.concatenate([np.ones((1, *confidence.shape[:2])),
                            np.moveaxis(confidence, 2, 0)])
-    return pre * conf, pre, conf, probs, queries
-
-
-def attention_pool(feats: np.ndarray, weights: np.ndarray, params: AttentionParams,
-                   total):
-    """Fusion half: value projection, pooling by weights (N, H, W), residual FFN.
-
-    Returns the fused (H, W, D) map, the values and the FFN pre-activation.
-    """
+    weights = pre * conf
     values = feats @ params.value_matrix().T
     pooled = total(values * weights[..., None], axis=0)
     hidden = pooled @ params.ffn_w1.T + params.ffn_b1
-    out = pooled + np.maximum(hidden, 0.0) @ params.ffn_w2.T + params.ffn_b2
-    return out, values, hidden
+    fused = pooled + np.maximum(hidden, 0.0) @ params.ffn_w2.T + params.ffn_b2
+    return fused, weights, pre, [hidden, values, weights, pre, conf, *heads]
+
+
+def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams):
+    """d_fused (H, W, D), a loss's gradient at attention's fused map, carried
+    back to its feats and confidence: (N, H, W, D) and (H, W, N-1).
+
+    For every agent present and np.sum over agents, the ego's queries held
+    fixed. tape is attention's, emptied as it is read: each array goes once
+    the backward is done with it.
+    """
+    hidden, values, weights, pre, conf = tape[:5]
+    del tape[:5]
+    d_hidden = (d_fused @ params.ffn_w2) * (hidden > 0.0)
+    d_pooled = d_fused + d_hidden @ params.ffn_w1
+    del hidden, d_hidden
+    d_weights = np.einsum("hwd,nhwd->nhw", d_pooled, values)
+    d_values = np.multiply(weights[..., None], d_pooled[None], out=values)
+    del values, weights, d_pooled
+    d_feats = d_values @ params.value_matrix()
+    d_conf = np.moveaxis(d_weights[1:] * pre[1:], 0, 2)
+    scale = 1.0 / math.sqrt(params.head_dim)
+    d_pre = d_weights * conf / params.n_heads
+    del d_weights, pre, conf
+    for wk in params.wk:
+        a, q = tape[:2]
+        del tape[:2]
+        d_e = a * (d_pre - (a * d_pre).sum(axis=0))
+        d_feats += np.matmul(d_e[..., None] * q[None] * scale, wk, out=d_values)
+    return d_feats, d_conf
 
 
 def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
@@ -224,7 +242,7 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     The kernel runs only on the cells where a collaborator's map landed,
     gathered as (N, 1, M, D); elsewhere the ego is alone, so pre_qcm and the
     weights are [1.0, 0.0, ...] and present is [True, False, ...] there. All
-    three are read-only; gather hands fuse the landed cells, features, weights.
+    three are read-only; gather hands fuse the landed cells and their fused rows.
     """
     h, w = ego.grid.shape
     if qcm.values.shape[:2] != (h, w) or qcm.n_collaborators != len(received):
@@ -233,30 +251,32 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
         raise ShapeMismatch("attention params width disagrees with features")
     cells, present, feats = _gather(ego, received)
     conf = qcm.values.reshape(1, h * w, len(received))[:, cells]  # (1, M, N-1)
-    at, pre_at, *_ = attention_weights(feats[0], feats, present, conf, params, canonical_sum)
+    rows, at, pre_at, _ = attention(feats[0], feats, present, conf, params, canonical_sum)
     grids = []
     for landed_rows in (at, pre_at, present):  # the ego column, then the landed rows
         full = np.zeros((h * w, len(feats)), dtype=landed_rows.dtype)
         full[:, 0], full[cells] = 1, landed_rows[:, 0].T
         full.setflags(write=False)
         grids.append(full.reshape(h, w, -1))
-    return DsaWeights(*grids, gather=((ego, *received, grids[0]), (cells, feats, at)))
+    return DsaWeights(*grids, gather=((ego, *received, grids[0], params), (cells, rows[0])))
 
 
 def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
     """The fused (H, W, D) map of the ego alone at weight 1.0 on every cell: what
     fuse gives wherever no collaborator's map landed.
 
-    attention_pool runs on blocks of at least two rows (a lone row takes
-    matmul's gemv path, which rounds apart), so no temporary spans the grid.
+    attention runs on blocks of at least two rows (a lone row takes matmul's
+    gemv path, which rounds apart), so no temporary spans the grid. Alone, the
+    ego's softmax gives it a weight of exactly 1.0.
     """
     h, w = ego.grid.shape
     flat = ego.values.reshape(h * w, ego.d)
     rows = _rows(np.ones(h * w, dtype=bool))
     out = np.empty((h * w, ego.d))
     for block in np.array_split(rows, -(-len(rows) // _EGO_ONLY_BLOCK)):
-        out[block] = attention_pool(flat[block][None, None], np.ones((1, 1, len(block))),
-                                    params, canonical_sum)[0][0]
+        alone = flat[block][None]
+        out[block] = attention(alone, alone[None], np.ones((1, 1, len(block)), dtype=bool),
+                               np.empty((1, len(block), 0)), params, canonical_sum)[0][0]
     return out.reshape(h, w, ego.d)
 
 
@@ -265,24 +285,23 @@ def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
          ego_only_map: np.ndarray | None = None) -> FusedMap:
     """Weighted agent fusion followed by the residual feed-forward block.
 
-    weights must be dsa_weights' own output for these very maps: attention_pool
-    runs on the landed cells, features and weights it gathered. Elsewhere the
+    weights must be dsa_weights' own output for these very maps and params:
+    its gather holds the rows attention fused on the landed cells. Elsewhere the
     ego is alone at weight 1.0, so the row is copied from ego_only_map, or
     ego_only(ego, params) if not given.
     """
-    h, w = ego.grid.shape
-    # gather is ((ego, *received, values), (cells, feats, weights at cells)) from
+    # gather is ((ego, *received, values, params), (cells, fused rows at cells)) from
     # dsa_weights. It holds those objects alive, so equal ids mean the same ones.
-    seen, (cells, feats, at) = weights.gather or ((), (None,) * 3)
-    if [*map(id, seen)] != [*map(id, (ego, *received, weights.values))]:
-        raise ShapeMismatch("weights are not dsa_weights' output for these maps")
+    seen, (cells, rows) = weights.gather or ((), (None, None))
+    if [*map(id, seen)] != [*map(id, (ego, *received, weights.values, params))]:
+        raise ShapeMismatch("weights are not dsa_weights' output for these maps and params")
     if ego_only_map is None:
         ego_only_map = ego_only(ego, params)
     elif ego_only_map.shape != ego.values.shape:
         raise ShapeMismatch("ego-only map shape disagrees with the ego map")
-    out = ego_only_map.reshape(h * w, ego.d).copy()
-    out[cells] = attention_pool(feats, at, params, canonical_sum)[0][0]
-    return FusedMap(ego.grid, out.reshape(h, w, ego.d), weights.values)
+    out = ego_only_map.copy()
+    out.reshape(-1, ego.d)[cells] = rows
+    return FusedMap(ego.grid, out, weights.values)
 
 
 def _clusters(mask: np.ndarray) -> list[list[tuple[int, int]]]:

@@ -23,7 +23,7 @@ from .comms import (
     score_mlp_forward,
     top_cells,
 )
-from .fusion import attention_pool, attention_weights
+from .fusion import attention, attention_backward
 from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
@@ -264,12 +264,9 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
         thr_idx = top_cells(flat, limit)[1]
         qs = sigmoid((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
 
-    h_ag = f.copy()
-    h_ag[1:] *= qs.reshape(k, h, w, 1)
-    wgt, pre, conf, probs, queries = attention_weights(
-        f[0], h_ag, np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)
-    fused, v, u = attention_pool(h_ag, wgt, attn, np.sum)
-    del h_ag  # the backward reads v, not the features it was projected from
+    # Soft-clipped collaborators, the ego kept whole; the weights and pre ride on the tape.
+    fused, tape = attention(f[0], f * np.vstack([np.ones((1, hw)), qs]).reshape(n, h, w, 1),
+                            np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)[::3]
     loss, per_dir, pred = _objective(fused, tscene, settings)
     dp0, dreg = _loss_grads(pred, tscene.terms, scene.mask, settings.loss_sigma,
                             settings.lambda_off, settings.lambda_size)
@@ -280,23 +277,7 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     dfused.reshape(hw, d)[tscene.terms.reg, 1:reg] += dreg[:, :reg - 1]
     del fused, pred, p0, dp0  # each large array goes once the backward has read it
 
-    du = (dfused @ attn.ffn_w2) * (u > 0.0)
-    ds = dfused + du @ attn.ffn_w1
-    del u, du, dfused
-
-    dwgt = np.einsum("hwd,nhwd->nhw", ds, v)
-    dv = np.multiply(wgt[..., None], ds[None], out=v)  # v is not read again
-    del ds, wgt
-    dh_ag = dv @ attn.value_matrix()
-    d_c = np.moveaxis(dwgt[1:] * pre[1:], 0, 2)
-
-    scale = 1.0 / math.sqrt(attn.head_dim)
-    da = dwgt * conf / attn.n_heads
-    del dwgt, pre, conf
-    for a, q, wk in zip(probs, queries, attn.wk):
-        de_h = a * (da - (a * da).sum(axis=0))
-        dh_ag += np.matmul(de_h[..., None] * q[None] * scale, wk, out=dv)
-    del probs, queries, da, de_h, dv
+    dh_ag, d_c = attention_backward(dfused, tape, attn)
 
     if limit > 0:
         dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
@@ -304,7 +285,6 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
         g[np.arange(k), thr_idx] -= g.sum(axis=1)
         d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
 
-    del v, dh_ag  # free the (N, H, W, D) arrays before the scorer's backward
     grads = score_mlp_backward(mlp_cache, d_c)
     return loss, grads, per_dir
 

@@ -111,6 +111,8 @@ class SceneInputs:
         return BevFeatureMap._checked(self.grid, self.features[0])
 
     def collaborator_map(self, k: int) -> BevFeatureMap:
+        if not 0 <= k < self.n_collaborators:
+            raise IndexError(f"collaborator {k} outside 0..{self.n_collaborators - 1}")
         return BevFeatureMap._checked(self.grid, self.features[k + 1])
 
     def __setstate__(self, state):  # pickle hands the arrays back writable

@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths (polygon clipping,
 vectorized scoring and occlusion, analytic gradients, the array wire codec,
 the shared attention kernel) so they can serve as oracles. The exceptions are
 the former production code kept as bit-for-bit references for its batched
-replacement: dense_dsa_weights/dense_fuse run the shared kernel on every cell
-of the grid, footprint_cells_per_cell clips one cell at a time,
+replacement: dense_dsa_weights/dense_fuse run the hard_attention_* forms on
+every cell of the grid, footprint_cells_per_cell clips one cell at a time,
 observe_grid_per_vehicle runs the segment test once per target vehicle,
 seed_cell_results_per_budget runs single at every sweep cell,
 soft_forward_reference rebuilds the loss from sector masks on every call,
@@ -27,8 +27,7 @@ import numpy as np
 
 from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
 from dircp.evaluate import run_method
-from dircp.features import densify
-from dircp.fusion import DsaWeights, FusedMap, attention_pool, attention_weights
+from dircp.fusion import DsaWeights, FusedMap
 from dircp.geometry import (
     RotatedBox,
     SectorPartition,
@@ -243,7 +242,7 @@ def hard_attention_weights(ego, feats, present, confidence, params,
                            total=canonical_sum):
     """The evaluation path's attention weights as dsa_weights wrote them inline.
 
-    Same arguments as fusion.attention_weights; returns (weights, pre).
+    Same arguments as fusion.attention; returns (weights, pre).
     """
     n, h, w, _ = feats.shape
     scale = 1.0 / math.sqrt(params.head_dim)
@@ -276,7 +275,7 @@ def hard_attention_pool(feats, weights, params, total=canonical_sum):
 def soft_attention_weights(ego, feats, present, confidence, params, total):
     """The training path's attention weights as soft_forward wrote them inline.
 
-    Drop-in for fusion.attention_weights when every agent is present and the
+    Takes fusion.attention's arguments when every agent is present and the
     sum over agents is np.sum.
     """
     assert present.all() and total is np.sum
@@ -303,7 +302,7 @@ def soft_attention_weights(ego, feats, present, confidence, params, total):
 def soft_attention_pool(feats, weights, params, total):
     """The training path's fusion as soft_forward wrote it inline.
 
-    Drop-in for fusion.attention_pool with the sum over agents np.sum.
+    Takes the features and weights, with the sum over agents np.sum.
     """
     assert total is np.sum
     m_val = params.value_matrix()
@@ -657,6 +656,24 @@ def soft_forward_reference(params, tscene, budget, settings, want_grad=True):
     return loss, score_mlp_backward_reference(mlp_cache, d_c), per_dir
 
 
+def soft_attention(ego, feats, present, confidence, params, total):
+    """Drop-in for fusion.attention on the training path: the two inline halves
+    above, returning (fused, weights, pre, tape) with the tape
+    fusion.attention_backward reads."""
+    wgt, pre, conf, a_heads, q_heads = soft_attention_weights(
+        ego, feats, present, confidence, params, total)
+    fused, v, u = soft_attention_pool(feats, wgt, params, total)
+    heads = [x for a, q in zip(a_heads, q_heads) for x in (a, q)]
+    return fused, wgt, pre, [u, v, wgt, pre, conf, *heads]
+
+
+def densify(sparse):
+    """The (H, W, D) dense map of a sparse one, zeros off its entries."""
+    out = np.zeros(sparse.shape, dtype=np.float64)
+    out[sparse.rows, sparse.cols] = sparse.values
+    return out
+
+
 def stack_agents(ego, received):
     """(N, H, W, D) agent features and (N, H, W) presence over the full grid."""
     h, w = ego.grid.shape
@@ -673,19 +690,17 @@ def stack_agents(ego, received):
 
 
 def dense_dsa_weights(ego, received, qcm, params):
-    """dsa_weights with the attention kernel run on every cell of the grid."""
+    """dsa_weights with the attention weights run on every cell of the grid."""
     feats, present = stack_agents(ego, received)
-    values, pre, *_ = attention_weights(ego.values, feats, present, qcm.values,
-                                        params, canonical_sum)
+    values, pre = hard_attention_weights(ego.values, feats, present, qcm.values, params)
     return DsaWeights(values=np.moveaxis(values, 0, 2), pre_qcm=np.moveaxis(pre, 0, 2),
                       present=np.moveaxis(present, 0, 2))
 
 
 def dense_fuse(ego, received, weights, params):
-    """fuse with the pooling kernel run on every cell of the grid."""
+    """fuse with the pooling run on every cell of the grid."""
     feats, _ = stack_agents(ego, received)
-    out, _, _ = attention_pool(feats, np.moveaxis(weights.values, 2, 0), params,
-                               canonical_sum)
+    out = hard_attention_pool(feats, np.moveaxis(weights.values, 2, 0), params)
     return FusedMap(grid=ego.grid, values=out, attention_trace=weights.values)
 
 

@@ -358,6 +358,28 @@ def test_zero_collaborators_exit_2_before_any_work(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+GLOBAL_TIE_BREAK = "[comms]\ntie_break = global\nscorer = {scorer}\n"
+
+
+@pytest.mark.parametrize("command,scorer", [("train", "reference"), ("train", "mlp"),
+                                            ("sweep", "mlp")])
+def test_training_under_global_tie_break_exit_2_before_any_work(tmp_path, capsys,
+                                                               monkeypatch, command, scorer):
+    """soft_forward ranks each collaborator on its own: a global clip is never trained for."""
+    forbid_work(monkeypatch)
+    path, out = write_config(tmp_path, extra=GLOBAL_TIE_BREAK.format(scorer=scorer))
+    assert main([command, str(path)]) == 2
+    assert "comms.tie_break" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,scorer", [("run", "mlp"), ("sweep", "reference")])
+def test_evaluation_under_global_tie_break_runs(tmp_path, command, scorer):
+    path, out = write_config(tmp_path, extra=GLOBAL_TIE_BREAK.format(scorer=scorer))
+    assert main([command, str(path)]) == 0
+    assert (out / "effective.cfg").exists()
+
+
 def test_zero_collaborators_export_scene(tmp_path):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"

@@ -20,9 +20,9 @@ from dircp.fusion import (
     _clusters,
     _gather,
     _rows,
-    attention_pool,
+    attention,
+    attention_backward,
     attention_trace_csv,
-    attention_weights,
     decode,
     dsa_weights,
     ego_only,
@@ -41,8 +41,7 @@ from _oracles import (
     dense_fuse,
     hard_attention_pool,
     hard_attention_weights,
-    soft_attention_pool,
-    soft_attention_weights,
+    soft_attention,
     stack_agents,
 )
 
@@ -130,6 +129,13 @@ class TestDsaWeights:
         with pytest.raises(ShapeMismatch):
             dsa_weights(ego, [None], qcm_of(np.zeros((4, 4, 2))),
                         AttentionParams.identity(4))
+
+
+@pytest.mark.parametrize("make", [AttentionParams.identity, AttentionParams.random])
+@pytest.mark.parametrize("d,n_heads", [(6, 4), (5, 2), (3, 2)])
+def test_params_reject_a_width_the_heads_do_not_divide(make, d, n_heads):
+    with pytest.raises(ValueError, match="divisible"):
+        make(d, n_heads)
 
 
 class TestFuse:
@@ -329,7 +335,13 @@ class TestGatherMatchesDense:
         calls.clear()
         got = fuse(ego, fresh, weights, params)
         assert calls == []  # the same objects: dsa_weights' gather is pooled
+        cells, rows = weights.gather[1]
+        assert same_bytes(got.values.reshape(-1, 8)[cells], rows)
         assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
+        # The rows were fused with dsa_weights' params: any others, even equal ones, raise.
+        for other_params in (AttentionParams.random(8, seed=23), replace(params)):
+            with pytest.raises(ShapeMismatch, match="params"):
+                fuse(ego, fresh, weights, other_params)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_fuse_pools_replaced_weights_not_the_gathered_ones(self, params):
@@ -412,6 +424,12 @@ class TestGatherMatchesDense:
             assert got == [repr(b.as_tuple()) for b in ref] and got
 
 
+def alone(rows, params):
+    """attention over (M, D) rows of the ego with no other agent."""
+    return attention(rows[None], rows[None, None], np.ones((1, 1, len(rows)), dtype=bool),
+                     np.empty((1, len(rows), 0)), params, canonical_sum)
+
+
 class TestEgoOnly:
     @pytest.mark.parametrize("params", PARAMS)
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 513), (27, 19),
@@ -425,10 +443,10 @@ class TestEgoOnly:
         ego = BevFeatureMap(GridSpec(*shape, 1.0), values)
         rows = values.reshape(-1, 8)
         rows = rows.repeat(2, axis=0) if len(rows) == 1 else rows
-        whole = attention_pool(rows[None, None], np.ones((1, 1, len(rows))), params,
-                               canonical_sum)[0][0]
+        whole, weights, pre, _ = alone(rows, params)
+        assert (weights == 1.0).all() and (pre == 1.0).all()
         got = ego_only(ego, params)
-        assert same_bytes(got, whole[:values[..., 0].size].reshape(values.shape))
+        assert same_bytes(got, whole[0, :values[..., 0].size].reshape(values.shape))
         if len(rows) > 2:  # the dense oracle's lone row would itself take gemv
             no_message = dense_dsa_weights(ego, [None], qcm_of(np.zeros((*shape, 1))),
                                            params)
@@ -438,9 +456,9 @@ class TestEgoOnly:
         """Why the 1x1 case matters: with these params the one-row pass differs."""
         params = PARAMS[1]
         row = np.random.default_rng(0).normal(size=(1, 8))
-        one = attention_pool(row[None, None], np.ones((1, 1, 1)), params, canonical_sum)
+        one = alone(row, params)[0]
         ego = BevFeatureMap(GridSpec(1, 1, 1.0), row.reshape(1, 1, 8))
-        assert not same_bytes(ego_only(ego, params).reshape(1, 8), one[0][0])
+        assert not same_bytes(ego_only(ego, params).reshape(1, 8), one[0])
 
 
 def kernel_inputs(rng, trial):
@@ -467,13 +485,12 @@ class TestKernelMatchesOracles:
         rng = np.random.default_rng(31)
         for trial in range(40):
             feats, present, confidence, params = kernel_inputs(rng, trial)
-            weights, pre, *_ = attention_weights(feats[0], feats, present, confidence,
-                                                 params, total)
+            fused, weights, pre, _ = attention(feats[0], feats, present, confidence,
+                                               params, total)
             ref_weights, ref_pre = hard_attention_weights(feats[0], feats, present,
                                                           confidence, params, total)
             assert np.array_equal(weights, ref_weights)
             assert np.array_equal(pre, ref_pre)
-            fused, _, _ = attention_pool(feats, weights, params, total)
             assert np.array_equal(fused, hard_attention_pool(feats, ref_weights,
                                                              params, total))
 
@@ -483,16 +500,44 @@ class TestKernelMatchesOracles:
             feats, _, confidence, params = kernel_inputs(rng, trial)
             present = np.ones(feats.shape[:3], dtype=bool)
             args = (feats[0], feats, present, confidence, params, np.sum)
-            got = attention_weights(*args)
-            ref = soft_attention_weights(*args)
+            got = attention(*args)
+            ref = soft_attention(*args)
             for a, b in zip(got[:3], ref[:3]):
                 assert np.array_equal(a, b)
-            for a_list, b_list in zip(got[3:], ref[3:]):
-                assert len(a_list) == len(b_list) == params.n_heads
-                assert all(np.array_equal(a, b) for a, b in zip(a_list, b_list))
-            for a, b in zip(attention_pool(feats, got[0], params, np.sum),
-                            soft_attention_pool(feats, ref[0], params, np.sum)):
+            assert len(got[3]) == len(ref[3]) == 5 + 2 * params.n_heads
+            for a, b in zip(got[3], ref[3]):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_backward_matches_central_differences(self, n_heads):
+        """attention_backward against central differences of sum(g * fused) in the
+        features and the confidence, the ego's queries held fixed."""
+        rng = np.random.default_rng(33 + n_heads)
+        params = AttentionParams.random(4, n_heads, seed=7 + n_heads, scale=0.6)
+        ego = rng.normal(size=(1, 5, 4))
+        feats = rng.normal(size=(3, 1, 5, 4))
+        confidence = rng.uniform(0.1, 0.9, (1, 5, 2))
+        present = np.ones((3, 1, 5), dtype=bool)
+        g = rng.normal(size=(1, 5, 4))
+
+        def objective(f, c):
+            return float(np.sum(g * attention(ego, f, present, c, params, np.sum)[0]))
+
+        tape = attention(ego, feats, present, confidence, params, np.sum)[3]
+        d_feats, d_conf = attention_backward(g, tape, params)
+        assert tape == []
+        eps = 1e-6
+        for which, grad in enumerate((d_feats, d_conf)):
+            x = (feats, confidence)[which]
+            numeric = np.zeros(x.shape)
+            for i in np.ndindex(x.shape):
+                step = np.zeros(x.shape)
+                step[i] = eps
+                plus, minus = [feats, confidence], [feats, confidence]
+                plus[which], minus[which] = x + step, x - step
+                numeric[i] = (objective(*plus) - objective(*minus)) / (2 * eps)
+            assert grad.shape == x.shape
+            assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
 def fused_evidence(grid, evidence_value, cells, n_agents=1):

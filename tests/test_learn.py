@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +32,7 @@ from _oracles import (
     detection_loss_masks,
     dw_loss_gradient_masks,
     objective_reference,
-    soft_attention_pool,
-    soft_attention_weights,
+    soft_attention,
     sigmoid_two_branch,
     soft_forward_loops,
     soft_forward_reference,
@@ -298,8 +299,7 @@ class TestSoftPathMatchesOracle:
         params = ScorerParams.random(4, seed=seed, scale=0.4)
         loss, grads, per_dir = soft_forward(params, ts, 0.3, settings)
         import dircp.learn
-        monkeypatch.setattr(dircp.learn, "attention_weights", soft_attention_weights)
-        monkeypatch.setattr(dircp.learn, "attention_pool", soft_attention_pool)
+        monkeypatch.setattr(dircp.learn, "attention", soft_attention)
         ref_loss, ref_grads, ref_per_dir = soft_forward(params, ts, 0.3, settings)
         assert loss == ref_loss
         assert np.array_equal(per_dir, ref_per_dir)
@@ -453,3 +453,18 @@ class TestRasterize:
         truth = rasterize_truth([box], grid)
         r, c = grid.cell_of(4.0, 4.0)
         assert truth[r, c, 5] >= 0.0
+
+
+def test_learn_reads_no_attention_kernel_internals():
+    """fusion owns the attention kernel in both directions: learn calls attention
+    and attention_backward and reads none of the kernel's parameters."""
+    import dircp.learn
+
+    tree = ast.parse(Path(dircp.learn.__file__).read_text(encoding="utf-8"))
+    from_fusion = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "fusion"
+                   for alias in node.names]
+    assert from_fusion == ["attention", "attention_backward"]
+    internals = {"wq", "wk", "wv", "wo", "n_heads", "head_dim", "value_matrix"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & internals and not any(a.startswith("ffn_") for a in read)

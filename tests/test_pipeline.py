@@ -138,6 +138,14 @@ class TestSceneMemo:
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
 
+    def test_collaborator_map_rejects_an_index_outside_the_collaborators(self):
+        scene = prepare_scene(generate(ScenarioConfig(seed=5)), RunSettings())
+        n = scene.n_collaborators
+        assert scene.collaborator_map(n - 1).values.tobytes() == scene.features[n].tobytes()
+        for k in (-1, n):  # features[k + 1]: -1 would read the ego's map
+            with pytest.raises(IndexError, match=rf"collaborator {k} outside 0\.\.{n - 1}"):
+                scene.collaborator_map(k)
+
     @staticmethod
     def assert_read_only(s):
         maps = [s.ego_map(), *map(s.collaborator_map, range(s.n_collaborators))]
