@@ -65,6 +65,12 @@ class SparseFeatureMap:
         object.__setattr__(self, "cols", cols)
 
 
+def densify(sparse: SparseFeatureMap) -> np.ndarray:
+    out = np.zeros(sparse.shape, dtype=np.float64)
+    out[sparse.rows, sparse.cols] = sparse.values
+    return out
+
+
 @lru_cache(maxsize=1)
 def positional_channels(grid: GridSpec, n_channels: int) -> np.ndarray:
     """Fixed sinusoidal cell features: sin/cos over x then y, doubling frequency.

@@ -77,7 +77,6 @@ class AttentionParams:
         if dh >= 2:
             # Row reading channel 1 (distance decay, always positive on the
             # query side) also reads channel 0 (evidence) on the key side.
-            wk = wk.copy()
             wk[0, 1, 0] += KEY_EVIDENCE_GAIN * qk_scale
         rng = np.random.default_rng(12345)  # fixed: identity init is a constant
         return cls(n_heads=n_heads, wq=slices * qk_scale, wk=wk,

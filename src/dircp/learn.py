@@ -312,6 +312,8 @@ def train_scorer(params: ScorerParams, scenes: list[TrainScene], budget: float,
         raise ValueError("steps must be >= 1")
     if not scenes:
         raise ValueError("need at least one training scene")
+    if settings.tie_break != "per_collaborator":  # the one clip soft_forward models
+        raise ValueError("comms.tie_break: training models the per_collaborator clip only")
     current = params
     history: list[dict] = []
     hard0 = float(np.mean([hard_path_loss(current, ts, budget, settings)

@@ -27,6 +27,7 @@ import numpy as np
 
 from dircp.comms import WIRE_MAGIC, WIRE_VERSION, FeatureMessage
 from dircp.evaluate import run_method
+from dircp.features import densify
 from dircp.fusion import DsaWeights, FusedMap
 from dircp.geometry import (
     RotatedBox,
@@ -665,13 +666,6 @@ def soft_attention(ego, feats, present, confidence, params, total):
     fused, v, u = soft_attention_pool(feats, wgt, params, total)
     heads = [x for a, q in zip(a_heads, q_heads) for x in (a, q)]
     return fused, wgt, pre, [u, v, wgt, pre, conf, *heads]
-
-
-def densify(sparse):
-    """The (H, W, D) dense map of a sparse one, zeros off its entries."""
-    out = np.zeros(sparse.shape, dtype=np.float64)
-    out[sparse.rows, sparse.cols] = sparse.values
-    return out
 
 
 def stack_agents(ego, received):

@@ -31,7 +31,6 @@ from dircp.scenario import ScenarioConfig, generate
 
 from _oracles import (
     clip_queries_sort,
-    densify,
     pack_message,
     relu_layer_row_bias,
     score_mlp_backward_outer,
@@ -452,6 +451,7 @@ class TestMessages:
         fm = make_features(grid)
         msg = build_message(QueryMap(bits, 1.0), fm, sender=1)
         sparse = message_to_sparse(msg, (4, 4, 8))
+        from dircp.features import densify
         dense = densify(sparse)
         assert np.array_equal(dense[1, 2], fm.values[1, 2].astype(np.float32))
 

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,11 @@ class TestSweep:
         small = dict(steps=1, hidden=3, grid=None)
         pooled = train_sigma_scorers(scenario, SETTINGS, [0.0, 1.0], 0.2, jobs=2, **small)
         assert list(pooled) == [0.0, 1.0]
+
+    def test_sigma_scorers_reject_global_tie_break(self):
+        settings = replace(SETTINGS, tie_break="global")
+        with pytest.raises(ValueError, match="comms.tie_break"):
+            train_sigma_scorers(eval_config(seed=5), settings, [1.0], 0.2, steps=1, hidden=3)
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_environment(
             self, monkeypatch):

@@ -6,14 +6,13 @@ import pytest
 from dircp.features import (
     BevFeatureMap,
     SparseFeatureMap,
+    densify,
     encode,
     pose_embedding,
     positional_channels,
 )
 from dircp.grid import GridSpec
 from dircp.scenario import generate, observe, ScenarioConfig
-
-from _oracles import densify
 
 
 GRID = GridSpec(16, 16, 1.0)

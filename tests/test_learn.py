@@ -401,6 +401,20 @@ class TestTrainScorer:
         with pytest.raises(ValueError):
             train_scorer(ScorerParams.zeros(4), [], 0.3, tiny_settings(), steps=0)
 
+    def test_global_tie_break_is_rejected_before_any_work(self, monkeypatch):
+        """soft_forward ranks each collaborator on its own: a global clip is never trained for."""
+        import dircp.learn
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train_scorer must reject the setting before any pass")
+
+        settings = tiny_settings(tie_break="global")
+        scenes = [tiny_scene(seed=1, settings=settings)]
+        for name in ("soft_forward", "hard_path_loss"):
+            monkeypatch.setattr(dircp.learn, name, forbidden)
+        with pytest.raises(ValueError, match="comms.tie_break"):
+            train_scorer(ScorerParams.random(4, seed=3), scenes, 0.3, settings, steps=1)
+
     def test_training_log_csv(self):
         history = [{"step": 0, "dw_loss": 1.5, "per_direction": [1.0, 2.0]},
                    {"step": 1, "dw_loss": 1.25, "per_direction": [0.75, 1.75]}]
