@@ -111,7 +111,7 @@ def _scorer_for(cfg: RunConfig, checkpoint: str | None = None) -> ScorerParams |
         return load_scorer(checkpoint)
     if cfg.scorer == "reference":
         return None
-    return ScorerParams.random(cfg.scorer_hidden, seed=cfg.scenario.seed)
+    return ScorerParams.random(cfg.scorer_hidden, seed=cfg.scenario.seed % 2**64)
 
 
 def cmd_run(args) -> int:
@@ -188,7 +188,7 @@ def cmd_train(args) -> int:
     _require(math.isfinite(args.lr), "--lr: must be finite")
     cfg, out_dir = _load(args)
     scenes = training_scenes(cfg.scenario, cfg.settings, args.batch, cfg.grid)
-    init = ScorerParams.random(cfg.scorer_hidden, seed=cfg.scenario.seed, scale=0.3)
+    init = ScorerParams.random(cfg.scorer_hidden, seed=cfg.scenario.seed % 2**64, scale=0.3)
     result = train_scorer(init, scenes, cfg.settings.q_max, cfg.settings,
                           learning_rate=args.lr, steps=args.steps)
     save_scorer(result.params, out_dir / "scorer.dcpw")

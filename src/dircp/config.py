@@ -306,6 +306,8 @@ def load_config(path: str | Path | None = None,
     check(0.0 <= di["sigma1"] <= 1.0, "direction.sigma1 must lie in [0, 1]")
     check(di["sigma2"] >= 0.0, "direction.sigma2 must be >= 0")
     check(math.isfinite(fu["qk_scale"]), "fusion.qk_scale must be finite")
+    check(fu["seed"] >= 0, "fusion.seed must be >= 0")
+    check(co["hidden"] >= 1, "comms.hidden must be >= 1")
     check(lo["sigma"] >= 0.0, "loss.sigma must be >= 0")
     check(lo["tau"] > 0.0, "loss.tau must be positive")
     if errors:

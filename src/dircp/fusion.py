@@ -114,7 +114,8 @@ class DsaWeights:
     values: np.ndarray = field(repr=False)    # (H, W, N), QCM-modulated
     pre_qcm: np.ndarray = field(repr=False)   # (H, W, N), softmax output
     present: np.ndarray = field(repr=False)   # (H, W, N) bool
-    gather: tuple | None = field(default=None, repr=False, compare=False)  # see fuse
+    cells: np.ndarray = field(repr=False)     # (M,) flat indices of the landed cells
+    rows: np.ndarray = field(repr=False)      # (M, D) the fused rows at those cells
 
 
 @dataclass(frozen=True)
@@ -240,8 +241,8 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
 
     The kernel runs only on the cells where a collaborator's map landed,
     gathered as (N, 1, M, D); elsewhere the ego is alone, so pre_qcm and the
-    weights are [1.0, 0.0, ...] and present is [True, False, ...] there. All
-    three are read-only; gather hands fuse the landed cells and their fused rows.
+    weights are [1.0, 0.0, ...] and present is [True, False, ...] there. Every
+    field is read-only; cells and rows hand fuse the landed cells' fused rows.
     """
     h, w = ego.grid.shape
     if qcm.values.shape[:2] != (h, w) or qcm.n_collaborators != len(received):
@@ -255,9 +256,10 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     for landed_rows in (at, pre_at, present):  # the ego column, then the landed rows
         full = np.zeros((h * w, len(feats)), dtype=landed_rows.dtype)
         full[:, 0], full[cells] = 1, landed_rows[:, 0].T
-        full.setflags(write=False)
         grids.append(full.reshape(h, w, -1))
-    return DsaWeights(*grids, gather=((ego, *received, grids[0], params), (cells, rows[0])))
+    for arr in (*grids, cells, rows):
+        arr.setflags(write=False)
+    return DsaWeights(*grids, cells=cells, rows=rows[0])
 
 
 def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
@@ -279,27 +281,17 @@ def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
     return out.reshape(h, w, ego.d)
 
 
-def fuse(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
-         weights: DsaWeights, params: AttentionParams,
-         ego_only_map: np.ndarray | None = None) -> FusedMap:
+def fuse(ego: BevFeatureMap, weights: DsaWeights, ego_only_map: np.ndarray) -> FusedMap:
     """Weighted agent fusion followed by the residual feed-forward block.
 
-    weights must be dsa_weights' own output for these very maps and params:
-    its gather holds the rows attention fused on the landed cells. Elsewhere the
-    ego is alone at weight 1.0, so the row is copied from ego_only_map, or
-    ego_only(ego, params) if not given.
+    weights is dsa_weights' output for ego: its rows are the kernel's fused rows
+    at its cells, where a collaborator's map landed. Elsewhere the ego is alone
+    at weight 1.0, so the row is copied from ego_only_map, ego_only(ego, params).
     """
-    # gather is ((ego, *received, values, params), (cells, fused rows at cells)) from
-    # dsa_weights. It holds those objects alive, so equal ids mean the same ones.
-    seen, (cells, rows) = weights.gather or ((), (None, None))
-    if [*map(id, seen)] != [*map(id, (ego, *received, weights.values, params))]:
-        raise ShapeMismatch("weights are not dsa_weights' output for these maps and params")
-    if ego_only_map is None:
-        ego_only_map = ego_only(ego, params)
-    elif ego_only_map.shape != ego.values.shape:
-        raise ShapeMismatch("ego-only map shape disagrees with the ego map")
+    if ego_only_map.shape != ego.values.shape or weights.values.shape[:2] != ego.grid.shape:
+        raise ShapeMismatch("ego-only map or weights' grid disagrees with the ego map")
     out = ego_only_map.copy()
-    out.reshape(-1, ego.d)[cells] = rows
+    out.reshape(-1, ego.d)[weights.cells] = weights.rows
     return FusedMap(ego.grid, out, weights.values)
 
 

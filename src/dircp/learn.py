@@ -240,11 +240,11 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     """Differentiable surrogate of the full pipeline; returns (loss, grads, per_dir).
 
     The forward runs the evaluation path's attention kernel with every agent
-    present on soft-clipped features and a plain sum over agents. Gradients
-    flow to the scorer parameters only; attention parameters stay fixed.
+    present on soft-clipped features and a plain sum over agents, with the scene's
+    attention. Gradients flow to the scorer parameters only; attention stays fixed.
     """
     scene = tscene.scene
-    attn = settings.attention_params()
+    attn = scene.attention
     n, h, w, d = scene.features.shape
     k = n - 1
     hw = h * w

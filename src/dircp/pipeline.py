@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,27 +68,20 @@ class RunSettings:
         return default_sigma1(self.n_dir) if self.sigma1 is None else self.sigma1
 
     def attention_params(self) -> AttentionParams:
-        """Cached on the fields it reads; its arrays are read-only."""
-        return _attention_params(self.init_mode, self.d_channels, self.n_heads,
-                                 self.d_ff, self.qk_scale, self.attn_seed)
-
-
-@lru_cache(maxsize=8)
-def _attention_params(init_mode, d_channels, n_heads, d_ff, qk_scale, attn_seed):
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"unknown init_mode {init_mode!r}")
-    params = (AttentionParams.identity(d_channels, n_heads, d_ff, qk_scale=qk_scale)
-              if init_mode == "identity" else
-              AttentionParams.random(d_channels, n_heads, d_ff, seed=attn_seed))
-    for f in fields(params)[1:]:  # the arrays after n_heads
-        getattr(params, f.name).setflags(write=False)
-    return params
+        """Built afresh from the fusion fields; prepare_scene fixes it per scene."""
+        d, n_heads, d_ff = self.d_channels, self.n_heads, self.d_ff
+        if self.init_mode == "identity":
+            return AttentionParams.identity(d, n_heads, d_ff, qk_scale=self.qk_scale)
+        if self.init_mode == "random":
+            return AttentionParams.random(d, n_heads, d_ff, seed=self.attn_seed)
+        raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
 
 @dataclass(frozen=True)
 class SceneInputs:
     """Per-world tensors shared by the evaluation and training paths, all read-only,
-    also once unpickled; ego_fused = ego_only(ego_map(), attention)."""
+    also once unpickled. attention is the params every run of the scene fuses
+    with, and ego_fused = ego_only(ego_map(), attention)."""
 
     world: ScenarioWorld
     grid: GridSpec
@@ -115,12 +107,15 @@ class SceneInputs:
             raise IndexError(f"collaborator {k} outside 0..{self.n_collaborators - 1}")
         return BevFeatureMap._checked(self.grid, self.features[k + 1])
 
-    def __setstate__(self, state):  # pickle hands the arrays back writable
-        vars(self).update(state)
+    def __post_init__(self):  # makes every array read-only; __setstate__ calls it too
         attention = (getattr(self.attention, f.name) for f in fields(self.attention)[1:])
         for arr in (self.de, self.pe, self.q0, self.features, self.sector_map,
                     self.ego_fused, *attention):
             arr.setflags(write=False)
+
+    def __setstate__(self, state):  # pickle hands the arrays back writable
+        vars(self).update(state)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,6 @@ def prepare_scene(world: ScenarioWorld, settings: RunSettings) -> SceneInputs:
         raise ValueError(f"unknown q0_mode {settings.q0_mode!r}")
     attention = settings.attention_params()
     ego_fused = ego_only(BevFeatureMap._checked(grid, feats[0]), attention)
-    for arr in (de, pe, q0, feats, ego_fused):
-        arr.setflags(write=False)
     return SceneInputs(world=world, grid=grid, partition=partition, mask=mask,
                        de=de, pe=pe, q0=q0, features=feats, sector_map=sector_map,
                        attention=attention, ego_fused=ego_fused)
@@ -192,7 +185,12 @@ def score_scene(scene: SceneInputs, de: np.ndarray,
 def run_pipeline(scene: SceneInputs, method: str, budget: float,
                  settings: RunSettings,
                  scorer_params: ScorerParams | None = None) -> PipelineResult:
-    """One evaluation run of a method on a prepared scene (hard query path)."""
+    """One evaluation run of a method on a prepared scene (hard query path).
+
+    Of settings, a run reads tie_break and conf_threshold. The fields prepare_scene
+    read are the scene's: the mask's, q0_mode, d_channels, and the fusion fields
+    (n_heads, d_ff, init_mode, attn_seed, qk_scale) fixed in scene.attention.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     ego = scene.ego_map()
@@ -207,7 +205,7 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
     qcm = score_scene(scene, de, scorer_params)
     query = clip_queries(qcm, budget, tie_break=settings.tie_break)
     received: list[SparseFeatureMap | None] = []
-    shape = (scene.grid.h, scene.grid.w, settings.d_channels)
+    shape = scene.features.shape[1:]
     for k in range(scene.n_collaborators):
         if query.bits[:, :, k].sum() == 0:
             received.append(None)
@@ -216,9 +214,7 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
         ledger.record(msg)
         # Round-trip through the wire so every run exercises the byte format.
         received.append(message_to_sparse(deserialize(serialize(msg)), shape))
-    params = settings.attention_params()
-    weights = dsa_weights(ego, received, qcm, params)
-    fused = fuse(ego, received, weights, params,
-                 scene.ego_fused if params is scene.attention else None)
+    weights = dsa_weights(ego, received, qcm, scene.attention)
+    fused = fuse(ego, weights, scene.ego_fused)
     boxes = decode(fused, settings.conf_threshold)
     return PipelineResult(method, boxes, fused, scene.mask, qcm, query, ledger)

@@ -684,11 +684,14 @@ def stack_agents(ego, received):
 
 
 def dense_dsa_weights(ego, received, qcm, params):
-    """dsa_weights with the attention weights run on every cell of the grid."""
+    """dsa_weights with the attention weights run on every cell of the grid; its
+    cells are all of them, its rows the pooling there."""
     feats, present = stack_agents(ego, received)
     values, pre = hard_attention_weights(ego.values, feats, present, qcm.values, params)
+    rows = hard_attention_pool(feats, values, params).reshape(-1, ego.d)
     return DsaWeights(values=np.moveaxis(values, 0, 2), pre_qcm=np.moveaxis(pre, 0, 2),
-                      present=np.moveaxis(present, 0, 2))
+                      present=np.moveaxis(present, 0, 2), cells=np.arange(len(rows)),
+                      rows=rows)
 
 
 def dense_fuse(ego, received, weights, params):

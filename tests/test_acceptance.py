@@ -24,7 +24,7 @@ from dircp.comms import (
 from dircp.direction import DirectionScores, compute_mask
 from dircp.evaluate import run_method, spearman, sweep
 from dircp.features import BevFeatureMap, SparseFeatureMap
-from dircp.fusion import AttentionParams, dsa_weights, fuse
+from dircp.fusion import AttentionParams, dsa_weights, ego_only, fuse
 from dircp.geometry import iou
 from dircp.grid import GridSpec
 from dircp.learn import (
@@ -238,11 +238,11 @@ def test_criterion_6_attention_contract():
         contrib = (denses[0] @ m.T) * weights.values[:, :, 1:2]
         if not np.all(contrib == 0.0):
             ok_zero = False
-        fused = fuse(ego, received, weights, params)
+        fused = fuse(ego, weights, ego_only(ego, params))
         perm = [2, 0, 1]
         weights_p = dsa_weights(ego, [received[i] for i in perm],
                                 QueryConfidenceMap(qcm_vals[:, :, perm]), params)
-        fused_p = fuse(ego, [received[i] for i in perm], weights_p, params)
+        fused_p = fuse(ego, weights_p, ego_only(ego, params))
         if not np.array_equal(fused.values, fused_p.values):
             ok_perm = False
     ok = ok_sum and ok_zero and ok_perm

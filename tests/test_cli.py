@@ -203,6 +203,9 @@ BAD_CONFIG_VALUES = [
     ("comms.hidden", "", ""),
     ("grid.h", "9" * 400, ""),        # past any float: no OverflowError traceback
     ("comms.hidden", "9" * 400, ""),
+    ("comms.hidden", "0", "scorer = mlp\n"),
+    ("comms.hidden", "-1", "scorer = mlp\n"),
+    ("fusion.seed", "-1", "init_mode = random\n"),
 ]
 
 
@@ -378,6 +381,22 @@ def test_evaluation_under_global_tie_break_runs(tmp_path, command, scorer):
     path, out = write_config(tmp_path, extra=GLOBAL_TIE_BREAK.format(scorer=scorer))
     assert main([command, str(path)]) == 0
     assert (out / "effective.cfg").exists()
+
+
+def test_negative_scenario_seed_seeds_the_mlp_scorer_mod_2_64(tmp_path):
+    """generate reduces a scenario seed mod 2**64; so does the MLP scorer's init."""
+    reports = []
+    for seed in (-1, 2**64 - 1):
+        out = tmp_path / str(seed)
+        path = tmp_path / f"{seed}.cfg"
+        path.write_text(BASE_CONFIG.format(out=out).replace("seed = 3\n", f"seed = {seed}\n")
+                        + "[comms]\nscorer = mlp\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 0
+        reports.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()
+                              if p.name != "effective.cfg"))
+    assert reports[0] == reports[1] and reports[0]
+    assert main(["train", str(tmp_path / "-1.cfg"), "--steps", "1", "--batch", "1"]) == 0
+    assert (tmp_path / "-1" / "scorer.dcpw").exists()
 
 
 def test_zero_collaborators_export_scene(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from dircp.comms import (
 from dircp.features import BevFeatureMap, SparseFeatureMap
 from dircp.fusion import (
     AttentionParams,
-    DsaWeights,
     FusedMap,
     _clusters,
     _gather,
@@ -146,7 +144,7 @@ class TestFuse:
         params = AttentionParams.identity(4)
         qcm = qcm_of(np.zeros((5, 5, 1)))
         w = dsa_weights(ego, [None], qcm, params)
-        fused = fuse(ego, [None], w, params)
+        fused = fuse(ego, w, ego_only(ego, params))
         assert np.array_equal(fused.values, ego.values)
         assert fused.values.shape == (5, 5, 4)
 
@@ -161,7 +159,7 @@ class TestFuse:
         received = [sparse_from_dense(h1, [(0, 0)])]
         qcm = qcm_of(rng.uniform(0.2, 1.0, (1, 1, 1)))
         w = dsa_weights(ego, received, qcm, params)
-        fused = fuse(ego, received, w, params)
+        fused = fuse(ego, w, ego_only(ego, params))
 
         m = params.wo @ np.concatenate(list(params.wv), axis=0)
         s = w.values[0, 0, 0] * (m @ f_ego[0, 0]) + w.values[0, 0, 1] * (m @ h1[0, 0])
@@ -195,13 +193,13 @@ class TestFuse:
         params = AttentionParams.random(4, seed=12)
 
         w = dsa_weights(ego, received, qcm_of(qcm_vals), params)
-        fused = fuse(ego, received, w, params)
+        fused = fuse(ego, w, ego_only(ego, params))
 
         perm = [2, 0, 1]
         received_p = [received[i] for i in perm]
         qcm_p = qcm_vals[:, :, perm]
         w_p = dsa_weights(ego, received_p, qcm_of(qcm_p), params)
-        fused_p = fuse(ego, received_p, w_p, params)
+        fused_p = fuse(ego, w_p, ego_only(ego, params))
 
         assert np.array_equal(fused.values, fused_p.values)
         for out_ch, src in enumerate(perm):
@@ -220,7 +218,7 @@ def assert_matches_dense(ego, received, qcm, params):
     for name in ("values", "pre_qcm", "present"):
         assert same_bytes(getattr(got, name), getattr(ref, name)), name
         assert not getattr(got, name).flags.writeable, name
-    fused = fuse(ego, received, got, params)
+    fused = fuse(ego, got, ego_only(ego, params))
     ref_fused = dense_fuse(ego, received, ref, params)
     assert same_bytes(fused.values, ref_fused.values)
     assert same_bytes(fused.attention_trace, ref_fused.attention_trace)
@@ -293,70 +291,26 @@ class TestGatherMatchesDense:
         assert_matches_dense(ego, received, qcm_of(rng.uniform(0, 1, (6, 6, 3))), params)
 
     @pytest.mark.parametrize("params", PARAMS)
-    def test_fuse_with_ego_weight_not_one(self, params):
-        # Weights dsa_weights did not make, here with ego weights other than 1.0
-        # where nothing landed, are rejected: fuse pools only dsa_weights' gather.
-        rng = np.random.default_rng(44)
-        ego = BevFeatureMap(GridSpec(8, 8, 1.0), rng.normal(size=(8, 8, 8)))
-        received = random_received(rng, (8, 8, 8), 4, 0.1)
-        wv = rng.uniform(0.0, 2.0, (8, 8, 5))
-        wv[3, :, 0] = 0.0
-        weights = DsaWeights(values=wv, pre_qcm=wv, present=np.ones(wv.shape, dtype=bool))
-        assert weights.gather is None
-        with pytest.raises(ShapeMismatch, match="dsa_weights"):
-            fuse(ego, received, weights, params)
-
-    @pytest.mark.parametrize("params", PARAMS)
-    def test_fuse_reuses_gather_only_for_the_maps_dsa_weights_saw(self, monkeypatch, params):
-        import dircp.fusion
-
+    def test_fuse_rejects_another_shape(self, params):
+        """fuse scatters dsa_weights' rows at its cells over the ego-only map: a
+        mis-shaped map, or weights from another grid, raises."""
         rng = np.random.default_rng(45)
         ego = BevFeatureMap(GridSpec(6, 7, 1.0), rng.normal(size=(6, 7, 8)))
         received = random_received(rng, (6, 7, 8), 3, 0.3)
-        received[1] = None
         weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
-        # The same cells with other values, so a reused gather would pool stale features.
-        other = [None if m is None else SparseFeatureMap(m.rows, m.cols, m.values + 1.0,
-                                                         m.shape) for m in received]
-        other_ego = BevFeatureMap(ego.grid, ego.values - 1.0)
-        mutated = received  # the very list dsa_weights saw, changed after the call
-        mutated[2] = other[2]
-        calls = []
-        real_gather = dircp.fusion._gather
-        monkeypatch.setattr(dircp.fusion, "_gather",
-                            lambda *a: calls.append(a) or real_gather(*a))
-        for e, maps in ((other_ego, mutated), (ego, other), (ego, mutated),
-                        (ego, mutated[:2]), (ego, mutated + [None])):
-            with pytest.raises(ShapeMismatch):
-                fuse(e, maps, weights, params)
-        fresh = [None if m is None else SparseFeatureMap(m.rows, m.cols, m.values, m.shape)
-                 for m in mutated]
-        weights = dsa_weights(ego, fresh, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
-        calls.clear()
-        got = fuse(ego, fresh, weights, params)
-        assert calls == []  # the same objects: dsa_weights' gather is pooled
-        cells, rows = weights.gather[1]
-        assert same_bytes(got.values.reshape(-1, 8)[cells], rows)
-        assert same_bytes(got.values, dense_fuse(ego, fresh, weights, params).values)
-        # The rows were fused with dsa_weights' params: any others, even equal ones, raise.
-        for other_params in (AttentionParams.random(8, seed=23), replace(params)):
-            with pytest.raises(ShapeMismatch, match="params"):
-                fuse(ego, fresh, weights, other_params)
-
-    @pytest.mark.parametrize("params", PARAMS)
-    def test_fuse_pools_replaced_weights_not_the_gathered_ones(self, params):
-        # replace() keeps the gather but not the values array dsa_weights made.
-        rng = np.random.default_rng(51)
-        ego = BevFeatureMap(GridSpec(6, 7, 1.0), rng.normal(size=(6, 7, 8)))
-        received = random_received(rng, (6, 7, 8), 3, 0.3)
-        weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 7, 3))), params)
-        for other in (weights.values * 0.5, 1.0 - weights.values, weights.values.copy()):
-            stale = replace(weights, values=other)  # the same maps and gather
-            assert stale.gather is weights.gather
-            with pytest.raises(ShapeMismatch):
-                fuse(ego, received, stale, params)
-        got = fuse(ego, received, replace(weights), params)  # the very values array
-        assert same_bytes(got.values, dense_fuse(ego, received, weights, params).values)
+        alone = ego_only(ego, params)
+        got = fuse(ego, weights, alone)
+        assert same_bytes(got.values.reshape(-1, 8)[weights.cells], weights.rows)
+        assert not weights.cells.flags.writeable and not weights.rows.flags.writeable
+        for bad in (alone[:, :4], alone[:5], alone.reshape(7, 6, 8)):
+            with pytest.raises(ShapeMismatch, match="ego-only map"):
+                fuse(ego, weights, bad)
+        for shape in ((7, 6), (5, 7)):  # the same number of cells, or fewer
+            other = BevFeatureMap(GridSpec(*shape, 1.0), rng.normal(size=(*shape, 8)))
+            foreign = dsa_weights(other, random_received(rng, (*shape, 8), 3, 0.3),
+                                  qcm_of(rng.uniform(0, 1, (*shape, 3))), params)
+            with pytest.raises(ShapeMismatch, match="weights' grid"):
+                fuse(ego, foreign, alone)
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_lone_cell_beside_a_map_with_no_entries(self, params):
@@ -395,14 +349,14 @@ class TestGatherMatchesDense:
         weights = dsa_weights(ego, received, qcm_of(rng.uniform(0, 1, (6, 5, 3))), params)
         alone = ~weights.present[:, :, 1:].any(axis=2)
         assert alone.any() and not alone.all()
-        ref = fuse(ego, received, weights, params)
+        ref = fuse(ego, weights, ego_only(ego, params))
         given = ego_only(ego, params)
-        assert same_bytes(fuse(ego, received, weights, params, given).values, ref.values)
-        marked = fuse(ego, received, weights, params, given + 1.0).values
+        assert same_bytes(fuse(ego, weights, given).values, ref.values)
+        marked = fuse(ego, weights, given + 1.0).values
         assert same_bytes(marked[alone], given[alone] + 1.0)
         assert same_bytes(marked[~alone], ref.values[~alone])
         with pytest.raises(ShapeMismatch):
-            fuse(ego, received, weights, params, given[:, :4])
+            fuse(ego, weights, given[:, :4])
 
     @pytest.mark.parametrize("world", [{}, DENSE])
     def test_real_scenes(self, world):
@@ -417,7 +371,7 @@ class TestGatherMatchesDense:
                 if result.query.bits[:, :, k].any() else None
                 for k in range(scene.n_collaborators)]
             fused = assert_matches_dense(scene.ego_map(), received, result.qcm,
-                                         settings.attention_params())
+                                         scene.attention)
             assert same_bytes(fused.values, result.fused.values)
             got = [repr(b.as_tuple()) for b in decode(fused, settings.conf_threshold)]
             ref = decode_per_cell(fused, settings.conf_threshold)

@@ -1,11 +1,11 @@
 import pickle
-from dataclasses import fields, replace
+from dataclasses import fields
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
-from dircp import pipeline
+from dircp import fusion, pipeline
 from dircp.comms import ScorerParams, build_message, serialize
 from dircp.fusion import AttentionParams, ego_only
 from dircp.learn import training_scenes
@@ -46,6 +46,8 @@ def test_directed_reference_run_sends_nothing_into_masked_off_sectors(world_name
 
 
 class TestAttentionParamsMemoized:
+    """A scene memoizes the attention its settings build: prepared once, read-only."""
+
     @pytest.mark.parametrize("kw", [
         {}, dict(n_heads=4), dict(qk_scale=0.5, d_ff=3), dict(d_channels=6, attn_seed=9),
         dict(init_mode="random", attn_seed=7),
@@ -53,35 +55,24 @@ class TestAttentionParamsMemoized:
     ])
     def test_equals_a_fresh_build_and_is_read_only(self, kw):
         settings = RunSettings(**kw)
-        got = settings.attention_params()
         if settings.init_mode == "identity":
             ref = AttentionParams.identity(settings.d_channels, settings.n_heads,
                                            settings.d_ff, qk_scale=settings.qk_scale)
         else:
             ref = AttentionParams.random(settings.d_channels, settings.n_heads,
                                          settings.d_ff, seed=settings.attn_seed)
-        assert got.n_heads == ref.n_heads
+        scene = prepare_scene(generate(ScenarioConfig(seed=2)), settings)
+        for got in (settings.attention_params(), scene.attention):
+            assert got.n_heads == ref.n_heads
+            for f in fields(ref)[1:]:
+                arr, want = getattr(got, f.name), getattr(ref, f.name)
+                assert arr.dtype == want.dtype and arr.shape == want.shape
+                assert arr.tobytes() == want.tobytes()
         for f in fields(ref)[1:]:
-            arr, want = getattr(got, f.name), getattr(ref, f.name)
-            assert arr.dtype == want.dtype and arr.shape == want.shape
-            assert arr.tobytes() == want.tobytes()
             with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-        assert RunSettings(**kw).attention_params() is got
-        assert replace(settings, loss_sigma=0.25, q_max=0.5).attention_params() is got
+                getattr(scene.attention, f.name).flat[0] = 1.0
 
-    def test_a_field_it_reads_gets_its_own_entry(self):
-        settings = RunSettings(init_mode="random", attn_seed=1)
-        other = replace(settings, attn_seed=2).attention_params()
-        assert other is not settings.attention_params()
-        assert other.wq.tobytes() != settings.attention_params().wq.tobytes()
-
-    def test_cache_is_bounded_and_unknown_mode_raises(self):
-        maxsize = pipeline._attention_params.cache_info().maxsize
-        assert maxsize is not None
-        for seed in range(maxsize + 2):
-            RunSettings(init_mode="random", attn_seed=100 + seed).attention_params()
-        assert pipeline._attention_params.cache_info().currsize == maxsize
+    def test_unknown_init_mode_raises(self):
         with pytest.raises(ValueError, match="init_mode"):
             RunSettings(init_mode="orthogonal").attention_params()
 
@@ -100,8 +91,8 @@ def same_result(a, b):
 
 
 class TestSceneMemo:
-    """What a prepared scene holds for every run of it: read-only arrays and the
-    ego-only fused map, which runs under its own attention params copy."""
+    """What a prepared scene holds for every run of it: read-only arrays, the
+    attention params it was prepared with and their ego-only fused map."""
 
     SCORERS = (None, ScorerParams.random(6, seed=4, scale=0.3),
                ScorerParams.random(8, seed=5, scale=0.5))
@@ -110,21 +101,21 @@ class TestSceneMemo:
     @pytest.mark.parametrize("world_name", sorted(WORLDS))
     def test_runs_in_any_order_match_fresh_scenes(self, world_name):
         world = generate(ScenarioConfig(seed=4, **WORLDS[world_name]))
-        scene = prepare_scene(world, self.SETTINGS[0])
-        runs = [(m, b, s, c) for m in pipeline.METHODS for b in (0.0, 0.05, 0.3, 1.0)
-                for s in range(len(self.SCORERS)) for c in range(len(self.SETTINGS))]
-        np.random.default_rng(7).shuffle(runs)
-        for method, budget, s, c in runs:
-            scorer, settings = self.SCORERS[s], self.SETTINGS[c]
-            got = run_pipeline(scene, method, budget, settings, scorer)
-            fresh = run_pipeline(prepare_scene(world, settings), method, budget, settings,
-                                 scorer)
-            assert same_result(got, fresh), (method, budget, s, c)
+        for c, settings in enumerate(self.SETTINGS):
+            scene = prepare_scene(world, settings)
+            runs = [(m, b, s) for m in pipeline.METHODS for b in (0.0, 0.05, 0.3, 1.0)
+                    for s in range(len(self.SCORERS))]
+            np.random.default_rng(7).shuffle(runs)
+            for method, budget, s in runs:
+                scorer = self.SCORERS[s]
+                got = run_pipeline(scene, method, budget, settings, scorer)
+                fresh = run_pipeline(prepare_scene(world, settings), method, budget,
+                                     settings, scorer)
+                assert same_result(got, fresh), (method, budget, s, c)
 
     @pytest.mark.parametrize("settings", SETTINGS, ids=["identity", "random"])
     def test_ego_fused_is_ego_only_and_every_array_is_read_only(self, settings):
         scene = prepare_scene(generate(ScenarioConfig(seed=5)), settings)
-        assert scene.attention is settings.attention_params()
         want = ego_only(scene.ego_map(), scene.attention)
         assert scene.ego_fused.dtype == want.dtype and scene.ego_fused.shape == want.shape
         assert scene.ego_fused.tobytes() == want.tobytes()
@@ -187,9 +178,29 @@ class TestSceneMemo:
         scene = prepare_scene(generate(ScenarioConfig(seed=6, **WORLDS[world_name])),
                               settings)
         shipped = pickle.loads(pickle.dumps(scene))  # as the sigma pool ships it
-        assert shipped.attention is not settings.attention_params()
         for method in pipeline.METHODS:
             for budget, scorer in ((0.05, None), (0.3, self.SCORERS[1])):
                 assert same_result(run_pipeline(shipped, method, budget, settings, scorer),
                                    run_pipeline(scene, method, budget, settings, scorer)), \
                     (method, budget)
+
+    def test_a_shipped_train_scene_list_runs_its_own_ego_only_map(self, monkeypatch):
+        """Unpickled scenes fuse over the ego-only map they carry: no run of them
+        calls ego_only, and each gives the in-process bytes."""
+        settings = RunSettings()
+        scenes = training_scenes(ScenarioConfig(seed=8), settings, 3)
+        task = (scenes, settings, 1.0, 0.2, 5, 0.5, 8)  # as train_sigma_scorers ships it
+        shipped = pickle.loads(ForkingPickler.dumps(task))[0]
+        calls = []
+        for module in (fusion, pipeline):
+            real = module.ego_only
+            monkeypatch.setattr(module, "ego_only",
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        for ts, sent in zip(shipped, scenes, strict=True):
+            for method in ("directed", "uniform"):
+                for budget, scorer in ((0.2, None), (0.3, self.SCORERS[1])):
+                    assert same_result(
+                        run_pipeline(ts.scene, method, budget, settings, scorer),
+                        run_pipeline(sent.scene, method, budget, settings, scorer)), \
+                        (method, budget)
+        assert calls == []
