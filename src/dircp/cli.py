@@ -154,8 +154,10 @@ def cmd_sweep(args) -> int:
                else _parse_float_list(args.budgets, "--budgets"))
     sigmas = ([cfg.settings.loss_sigma] if args.sigmas is None
               else _parse_float_list(args.sigmas, "--sigmas"))
+    # Derived seeds past 2**64 wrap, as generate reduces them; the others keep their value.
     seeds = (list(cfg.seeds) if args.seeds is None
-             else [cfg.scenario.seed + i for i in range(args.seeds)])
+             else [s % 2**64 if s >= 2**64 else s
+                   for s in range(cfg.scenario.seed, cfg.scenario.seed + args.seeds)])
     scorers = None
     if cfg.scorer == "mlp":
         scorers = train_sigma_scorers(cfg.scenario, cfg.settings, sigmas,

@@ -14,7 +14,7 @@ from .comms import SCORERS, TIE_BREAKS, WIRE_U16_MAX
 from .direction import default_sigma1
 from .grid import GridSpec
 from .pipeline import INIT_MODES, METHODS, Q0_MODES, RunSettings
-from .scenario import ScenarioConfig
+from .scenario import SEED_RANGE, ScenarioConfig
 
 ENV_SEED = "DIRCP_SEED"
 # Admission limit on a run's largest array, about (n_collaborators + 1) x h x w
@@ -255,6 +255,8 @@ def load_config(path: str | Path | None = None,
         di["sigma1"] = default_sigma1(di["n_dir"])
     if fu["d_ff"] is None:
         fu["d_ff"] = 2 * gr["d"]
+    check(all(seed in SEED_RANGE for seed in ev["seeds"] or ()),
+          "eval.seeds: each seed must fit in 64 bits, [-2**63, 2**64)")
     if not ev["seeds"]:
         ev["seeds"] = (sc["seed"],)
 

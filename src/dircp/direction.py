@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _EPS_ANGLE_DEG, SectorPartition
+from .geometry import SectorPartition, sectors_of
 from .grid import GridSpec
 
 DEFAULT_SIGMA2 = 5.0
@@ -88,19 +87,8 @@ def compute_mask(ds: DirectionScores, sigma1: float, sigma2: float) -> Direction
 
 @lru_cache(maxsize=4)
 def cell_sector_map(partition: SectorPartition, grid: GridSpec) -> np.ndarray:
-    """(H, W) int map: ``sector_of_point`` of each cell center; cached, read-only."""
-    # math.atan2 keeps the angles bit-equal to it; numpy's SIMD arctan2 is not.
-    dx, dy = (grid.centers - np.asarray(partition.frame_origin)).transpose(2, 0, 1)
-    atan = np.array(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())))
-    ang = np.degrees(atan.reshape(dx.shape) - partition.frame_heading) % 360.0
-    los = [lo for lo, _ in partition.boundaries]
-    sectors = np.searchsorted(los, ang, side="right") - 1
-    # Snap to the first boundary within _EPS_ANGLE_DEG (also across 360): written last.
-    for i in reversed(range(partition.n_dir)):
-        diff = ang - los[i]
-        snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
-        sectors[snap] = i
-    sectors[(dx == 0.0) & (dy == 0.0)] = 0
+    """(H, W) int map: ``sectors_of`` the cell centers; cached, read-only."""
+    sectors = sectors_of(grid.centers[..., 0], grid.centers[..., 1], partition)
     sectors.setflags(write=False)
     return sectors
 

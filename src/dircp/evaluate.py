@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comms import ScorerParams
-from .geometry import RotatedBox, SectorPartition, far_apart_pairs, iou, sector_of
+from .geometry import RotatedBox, SectorPartition, far_apart_pairs, iou, sectors_of
 from .learn import train_scorer, training_scenes
 from .pipeline import (
     METHODS,
@@ -126,7 +126,7 @@ def evaluate_boxes(preds, truths, partition, thresholds):
     ious = np.zeros((len(preds), len(truths)))  # far pairs, iou's early 0.0, stay 0.0
     for i, j in zip(*np.nonzero(~far_apart_pairs(preds, truths))):
         ious[i, j] = iou(preds[i], truths[j])
-    sector = [np.array([sector_of(b, partition) for b in boxes], dtype=int)
+    sector = [sectors_of(*np.reshape([(b.cx, b.cy) for b in boxes], (-1, 2)).T, partition)
               for boxes in (preds, truths)]
     by_sector = [[np.flatnonzero(side == s) for side in sector]
                  for s in range(partition.n_dir)]

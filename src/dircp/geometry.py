@@ -211,25 +211,27 @@ class SectorPartition:
         return cls(n_dir, bounds, frame_origin, frame_heading)
 
 
-def sector_of_point(x: float, y: float, partition: SectorPartition) -> int:
-    """Sector index of a point; the origin itself maps to sector 0."""
-    dx = x - partition.frame_origin[0]
-    dy = y - partition.frame_origin[1]
-    if dx == 0.0 and dy == 0.0:
-        return 0
-    ang = math.degrees(math.atan2(dy, dx) - partition.frame_heading) % 360.0
-    # Snap to boundaries so that exact-boundary points land deterministically
-    # in the upper half-open interval.
-    for i, (lo, _) in enumerate(partition.boundaries):
-        if abs(ang - lo) <= _EPS_ANGLE_DEG or abs(ang - lo - 360.0) <= _EPS_ANGLE_DEG:
-            return i
-    for i, (lo, hi) in enumerate(partition.boundaries):
-        if lo <= ang < hi:
-            return i
-    return partition.n_dir - 1
+def sectors_of(x, y, partition: SectorPartition) -> np.ndarray:
+    """Int sector index of each point (x, y: equal-shape arrays); the origin maps to 0.
+
+    An angle within _EPS_ANGLE_DEG of a boundary, also across 360, snaps to the
+    first such sector, so exact-boundary points land in the upper interval.
+    """
+    dx = np.asarray(x, dtype=np.float64) - partition.frame_origin[0]
+    dy = np.asarray(y, dtype=np.float64) - partition.frame_origin[1]
+    # math.atan2 keeps every angle's bits on any CPU; numpy's SIMD arctan2 does not.
+    atan = np.array(list(map(math.atan2, dy.ravel().tolist(), dx.ravel().tolist())))
+    ang = np.degrees(atan.reshape(dx.shape) - partition.frame_heading) % 360.0
+    los = [lo for lo, _ in partition.boundaries]
+    sectors = np.searchsorted(los, ang, side="right") - 1
+    for i in reversed(range(partition.n_dir)):  # written last, the first snap wins
+        diff = ang - los[i]
+        snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
+        sectors[snap] = i
+    sectors[(dx == 0.0) & (dy == 0.0)] = 0
+    return sectors
 
 
 def sector_of(box: RotatedBox, partition: SectorPartition) -> int:
     """Sector containing the box center."""
-    return sector_of_point(box.cx, box.cy, partition)
-
+    return int(sectors_of([box.cx], [box.cy], partition)[0])

@@ -28,7 +28,7 @@ from .geometry import RotatedBox
 from .grid import GridSpec
 from .num import sigmoid
 from .pipeline import RunSettings, SceneInputs, prepare_scene, run_pipeline
-from .scenario import ScenarioConfig, _footprints, generate
+from .scenario import ScenarioConfig, generate
 
 FOCAL_ALPHA = 2.0
 _P_EPS = 1e-7
@@ -43,9 +43,9 @@ class DivergedTraining(RuntimeError):
     """Training loss became non-finite."""
 
 
-def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
-                    footprints=None) -> np.ndarray:
-    """(H, W, 7) per-cell targets.
+def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec, footprints) -> np.ndarray:
+    """(H, W, 7) per-cell targets; footprints holds each box's cells, as
+    ScenarioWorld.vehicle_cells does.
 
     Objectness (channel 0) is 1 on every cell of a box footprint, matching what
     the evidence channel should look like when the object is fully perceived.
@@ -54,8 +54,6 @@ def rasterize_truth(boxes: list[RotatedBox], grid: GridSpec,
     Headings are canonicalized to cos >= 0.
     """
     out = np.zeros((grid.h, grid.w, 7), dtype=np.float64)
-    if footprints is None:
-        footprints = _footprints(boxes, grid)[0]
     for box, cells in zip(boxes, footprints):
         for r, c in cells:
             out[r, c, 0] = 1.0
@@ -211,16 +209,15 @@ class TrainScene:
 
 
 def make_train_scene(scene: SceneInputs) -> TrainScene:
-    truth = rasterize_truth(list(scene.world.vehicles), scene.grid,
-                            footprints=scene.world.vehicle_cells)
+    truth = rasterize_truth(list(scene.world.vehicles), scene.grid, scene.world.vehicle_cells)
     return TrainScene(scene, truth, LossTerms.of(truth, scene.sector_map, scene.mask.n_dir))
 
 
 def training_scenes(scenario: ScenarioConfig, settings: RunSettings, n: int,
                     grid: GridSpec | None = None) -> list[TrainScene]:
-    """The n training worlds of a scenario, seeded apart from its eval seeds."""
-    base = int(scenario.seed) + 100_000
-    worlds = (generate(replace(scenario, seed=base + i), grid=grid) for i in range(n))
+    """The n training worlds of a scenario, seeded apart from its eval seeds, mod 2**64."""
+    seeds = [(int(scenario.seed) + 100_000 + i) % 2**64 for i in range(n)]
+    worlds = (generate(replace(scenario, seed=seed), grid=grid) for seed in seeds)
     return [make_train_scene(prepare_scene(world, settings)) for world in worlds]
 
 

@@ -15,8 +15,7 @@ from .geometry import (
     SectorPartition,
     box_corners,
     intersection_area,
-    sector_of,
-    sector_of_point,
+    sectors_of,
 )
 from .grid import GridSpec
 
@@ -28,6 +27,7 @@ _MAX_ATTEMPTS = 10_000
 
 VEHICLE_LENGTH_RANGE = (3.5, 5.5)
 VEHICLE_WIDTH_RANGE = (1.6, 2.2)
+SEED_RANGE = range(-(2**63), 2**64)  # what a seed may be; generate reduces it mod 2**64
 
 
 class PlacementExhausted(RuntimeError):
@@ -50,7 +50,7 @@ class ScenarioConfig:
     dropout_prob: float = 0.0
 
     def __post_init__(self):
-        if not (-(2**63) <= int(self.seed) < 2**64):
+        if int(self.seed) not in SEED_RANGE:
             raise ValueError("seed must fit in 64 bits")
         for name in ("area_side", "sensor_range"):
             value = getattr(self, name)
@@ -220,17 +220,19 @@ def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWo
     # Agents' unit squares, then each placed vehicle inflated by the margin.
     keep_out = [RotatedBox(1.0, ax, ay, 1.0, 1.0, 1.0, 0.0) for ax, ay in agent_points]
     # Each attempt's x, y, roll, length, width and heading, drawn 64 attempts at
-    # a time: lo + (hi - lo) * u is Generator.uniform(lo, hi) on the same stream,
-    # and nothing draws from rng after placement.
+    # a time with the sectors of their (x, y): lo + (hi - lo) * u is
+    # Generator.uniform(lo, hi) on the same stream, and nothing draws from rng
+    # after placement.
     lo, hi = np.array([(0.0, side), (0.0, side), (0.0, 1.0), VEHICLE_LENGTH_RANGE,
                        VEHICLE_WIDTH_RANGE, (0.0, 2.0 * math.pi)]).T
-    draws = (row for _ in itertools.count()
-             for row in (lo + (hi - lo) * rng.random((64, 6))).tolist())
+    blocks = (lo + (hi - lo) * rng.random((64, 6)) for _ in itertools.count())
+    draws = itertools.chain.from_iterable(
+        zip(block.tolist(), sectors_of(block[:, 0], block[:, 1], partition).tolist())
+        for block in blocks)
     for _ in range(config.n_vehicles):
         for attempt in range(_MAX_ATTEMPTS):
-            x, y, roll, length, width, ang = next(draws)
-            weight = config.density_profile[sector_of_point(x, y, partition)]
-            if roll * max_weight >= weight:
+            (x, y, roll, length, width, ang), sector = next(draws)
+            if roll * max_weight >= config.density_profile[sector]:
                 continue
             cand = RotatedBox.from_angle(1.0, x, y, length, width, ang)
             # Whole footprint inside the area: a box clipped by the edge leaves
@@ -298,10 +300,8 @@ def rsu_observe(world: ScenarioWorld,
                 partition: SectorPartition | None = None) -> np.ndarray:
     """Per-sector ground-truth vehicle counts from the unoccluded RSU view."""
     part = partition if partition is not None else world.partition
-    counts = np.zeros(part.n_dir, dtype=np.int64)
-    for v in world.vehicles:
-        counts[sector_of(v, part)] += 1
-    return counts
+    centers = np.reshape([(v.cx, v.cy) for v in world.vehicles], (-1, 2)).T
+    return np.bincount(sectors_of(*centers, part), minlength=part.n_dir)
 
 
 def scene_to_dict(world: ScenarioWorld) -> dict:

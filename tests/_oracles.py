@@ -10,7 +10,9 @@ observe_grid_per_vehicle runs the segment test once per target vehicle,
 seed_cell_results_per_budget runs single at every sweep cell,
 soft_forward_reference rebuilds the loss from sector masks on every call,
 canonical_sum_sort sorts with np.sort, placement_scalar_draws draws each
-placement uniform with its own Generator.uniform call, top_cells_sort and
+placement uniform with its own Generator.uniform call, sector_of_point (the
+scalar reference of geometry.sectors_of) assigns one point at a time with
+math.atan2 and a loop over the boundaries, top_cells_sort and
 clip_queries_sort rank with a full stable argsort, and relu_layer_row_bias and
 score_mlp_backward_outer run their bias adds, outer product and column sums
 one hidden-wide row at a time.
@@ -30,6 +32,7 @@ from dircp.evaluate import run_method
 from dircp.features import densify
 from dircp.fusion import DsaWeights, FusedMap
 from dircp.geometry import (
+    _EPS_ANGLE_DEG,
     RotatedBox,
     SectorPartition,
     _clip_polygon,
@@ -38,7 +41,6 @@ from dircp.geometry import (
     intersection_area,
     iou,
     sector_of,
-    sector_of_point,
 )
 from dircp.grid import GridSpec
 from dircp.num import canonical_sum, sigmoid
@@ -228,6 +230,24 @@ def observe_grid_per_blocker(config: ScenarioConfig, grid: GridSpec,
             >= config.dropout_prob
         evidence[~keep] = 0
     return evidence
+
+
+def sector_of_point(x: float, y: float, partition: SectorPartition) -> int:
+    """Sector index of a point; the origin itself maps to sector 0."""
+    dx = x - partition.frame_origin[0]
+    dy = y - partition.frame_origin[1]
+    if dx == 0.0 and dy == 0.0:
+        return 0
+    ang = math.degrees(math.atan2(dy, dx) - partition.frame_heading) % 360.0
+    # Snap to boundaries so that exact-boundary points land deterministically
+    # in the upper half-open interval.
+    for i, (lo, _) in enumerate(partition.boundaries):
+        if abs(ang - lo) <= _EPS_ANGLE_DEG or abs(ang - lo - 360.0) <= _EPS_ANGLE_DEG:
+            return i
+    for i, (lo, hi) in enumerate(partition.boundaries):
+        if lo <= ang < hi:
+            return i
+    return partition.n_dir - 1
 
 
 def cell_sector_map_loop(partition: SectorPartition, grid: GridSpec) -> np.ndarray:

@@ -206,6 +206,8 @@ BAD_CONFIG_VALUES = [
     ("comms.hidden", "0", "scorer = mlp\n"),
     ("comms.hidden", "-1", "scorer = mlp\n"),
     ("fusion.seed", "-1", "init_mode = random\n"),
+    ("eval.seeds", "18446744073709551616", ""),
+    ("eval.seeds", "-9223372036854775809", ""),
 ]
 
 
@@ -383,20 +385,42 @@ def test_evaluation_under_global_tie_break_runs(tmp_path, command, scorer):
     assert (out / "effective.cfg").exists()
 
 
+def seed_config(tmp_path, seed, extra=""):
+    out = tmp_path / str(seed)
+    path = tmp_path / f"{seed}.cfg"
+    path.write_text(BASE_CONFIG.format(out=out).replace("seed = 3\n", f"seed = {seed}\n")
+                    + extra, encoding="utf-8")
+    return path, out
+
+
 def test_negative_scenario_seed_seeds_the_mlp_scorer_mod_2_64(tmp_path):
     """generate reduces a scenario seed mod 2**64; so does the MLP scorer's init."""
     reports = []
     for seed in (-1, 2**64 - 1):
-        out = tmp_path / str(seed)
-        path = tmp_path / f"{seed}.cfg"
-        path.write_text(BASE_CONFIG.format(out=out).replace("seed = 3\n", f"seed = {seed}\n")
-                        + "[comms]\nscorer = mlp\n", encoding="utf-8")
+        path, out = seed_config(tmp_path, seed, "[comms]\nscorer = mlp\n")
         assert main(["run", str(path)]) == 0
         reports.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()
                               if p.name != "effective.cfg"))
     assert reports[0] == reports[1] and reports[0]
     assert main(["train", str(tmp_path / "-1.cfg"), "--steps", "1", "--batch", "1"]) == 0
     assert (tmp_path / "-1" / "scorer.dcpw").exists()
+
+
+def test_train_world_seeds_wrap_mod_2_64(tmp_path):
+    """train's world seeds wrap mod 2**64, as generate reduces a seed."""
+    scorers = []
+    for seed in (-1, 2**64 - 1):
+        path, out = seed_config(tmp_path, seed)
+        assert main(["train", str(path), "--steps", "2", "--batch", "2"]) == 0
+        scorers.append((out / "scorer.dcpw").read_bytes())
+    assert scorers[0] == scorers[1]
+
+
+def test_sweep_seeds_past_2_64_wrap(tmp_path):
+    path, out = seed_config(tmp_path, 2**64 - 1)
+    assert main(["sweep", str(path), "--budgets", "0.1", "--seeds", "2"]) == 0
+    rows = (out / "per_seed.csv").read_text().splitlines()
+    assert {row.split(",")[1] for row in rows[1:]} == {str(2**64 - 1), "0"}
 
 
 def test_zero_collaborators_export_scene(tmp_path):

@@ -12,12 +12,12 @@ from dircp.direction import (
     default_sigma1,
     direction_embedding,
 )
-from dircp.geometry import SectorPartition, sector_of_point
+from dircp.geometry import SectorPartition
 from dircp.grid import GridSpec
 from dircp.pipeline import RunSettings, prepare_scene
 from dircp.scenario import ScenarioConfig, generate
 
-from _oracles import cell_sector_map_loop
+from _oracles import cell_sector_map_loop, sector_of_point
 
 
 def brute_force_mask(scores, interest, sigma1, sigma2):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dircp.evaluate import average_precision, evaluate_boxes
 from dircp.geometry import (
     RotatedBox,
     SectorPartition,
@@ -14,10 +16,18 @@ from dircp.geometry import (
     intersection_area,
     iou,
     sector_of,
+    sectors_of,
 )
-from dircp.scenario import _box_arrays, _segments_blocked
+from dircp.scenario import ScenarioConfig, _box_arrays, _segments_blocked, generate, rsu_observe
 
-from _oracles import clip_area, mc_iou, random_box, rotate_point, segment_intersects_box
+from _oracles import (
+    clip_area,
+    mc_iou,
+    random_box,
+    rotate_point,
+    sector_of_point,
+    segment_intersects_box,
+)
 
 
 def corner_set(box, ndigits=9):
@@ -183,6 +193,83 @@ class TestSectorPartition:
             rotated = SectorPartition.uniform(4, frame_heading=delta)
             rbox = RotatedBox(1.0, rx, ry, 1, 1, 1.0, 0.0)
             assert sector_of(box, base) == sector_of(rbox, rotated)
+
+
+# Offsets in degrees from each boundary: on it, inside and outside the 1e-9 snap.
+BOUNDARY_OFFSETS = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 3e-9, -3e-9, 1e-6, -1e-6)
+SLIVER = 90.0 + 1e-10
+PARTITIONS = [
+    SectorPartition.uniform(4),
+    SectorPartition(4, ((0.0, 45.0), (45.0, 180.0), (180.0, 300.0), (300.0, 360.0)),
+                    (3.5, -2.0), 0.3),
+    # Sector 1 is narrower than the snap: the first boundary within it wins.
+    SectorPartition(3, ((0.0, 90.0), (90.0, SLIVER), (SLIVER, 360.0)), (8.0, 8.0), 0.0),
+    SectorPartition.uniform(4, (8.5, 8.5), 1e-18),
+]
+
+
+def boundary_points(part):
+    """Points at every boundary plus BOUNDARY_OFFSETS, near and far, then the origin."""
+    ox, oy = part.frame_origin
+    pts = [(ox + r * math.cos(math.radians(lo + off) + part.frame_heading),
+            oy + r * math.sin(math.radians(lo + off) + part.frame_heading))
+           for lo, _ in part.boundaries for off in BOUNDARY_OFFSETS for r in (1e-3, 7.0, 1e4)]
+    return pts + [(ox, oy)]
+
+
+class TestSectorsOf:
+    """geometry.sectors_of, and the callers that split boxes with it, against the
+    scalar oracle on boundary, origin, wrap and sliver points."""
+
+    @pytest.mark.parametrize("part", PARTITIONS)
+    def test_matches_scalar_oracle_at_boundaries(self, part):
+        xs, ys = np.array(boundary_points(part)).T
+        got = sectors_of(xs, ys, part)
+        assert got.dtype == np.int64 and got.shape == xs.shape
+        assert got.tolist() == [sector_of_point(x, y, part) for x, y in zip(xs, ys)]
+        assert got[-1] == 0  # the frame origin
+        assert set(got.tolist()) == set(range(part.n_dir))
+        grid_shaped = sectors_of(xs[:-1].reshape(-1, 3), ys[:-1].reshape(-1, 3), part)
+        assert np.array_equal(grid_shaped.ravel(), got[:-1])
+
+    def test_snap_lands_in_the_upper_sector_also_across_360(self):
+        part = SectorPartition.uniform(4)
+        for i, (lo, _) in enumerate(part.boundaries):
+            for off, want in ((-1e-10, i), (1e-10, i), (-1e-6, (i - 1) % 4)):
+                x, y = rotate_point(7.0, 0.0, math.radians(lo + off))
+                assert sectors_of([x], [y], part).tolist() == [want]
+
+    def test_wrap_to_360_goes_to_sector_zero(self):
+        part = SectorPartition.uniform(4, frame_origin=(8.5, 8.5), frame_heading=1e-18)
+        assert math.degrees(math.atan2(0.0, 1.0) - 1e-18) % 360.0 == 360.0
+        assert sectors_of([9.5], [8.5], part).tolist() == [0]
+        assert sector_of_point(9.5, 8.5, part) == 0
+
+    def test_empty_input(self):
+        for part in PARTITIONS:
+            got = sectors_of(np.empty(0), np.empty(0), part)
+            assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("part", PARTITIONS)
+    def test_rsu_counts_and_ap_split_follow_the_oracle(self, part):
+        boxes = [RotatedBox(1.0, x, y, 4.0, 2.0, 1.0, 0.0) for x, y in boundary_points(part)]
+        oracle = [sector_of_point(b.cx, b.cy, part) for b in boxes]
+        world = replace(generate(ScenarioConfig(n_vehicles=1, n_collaborators=0)),
+                        vehicles=tuple(boxes))
+        counts = rsu_observe(world, part)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(oracle, minlength=part.n_dir).tolist()
+        # A lone truth (or prediction) zeroes its own sector's AP and no other's.
+        for box, sector in zip(boxes, oracle):
+            want = tuple(0.0 if s == sector else 1.0 for s in range(part.n_dir))
+            for preds, truths in (([], [box]), ([box], [])):
+                assert evaluate_boxes(preds, truths, part, (0.5,))[1][0.5] == want
+        preds = [replace(b, confidence=0.5 + 0.5 * (k % 2)) for k, b in enumerate(boxes[::2])]
+        per = evaluate_boxes(preds, boxes, part, (0.5,))[1][0.5]
+        for s in range(part.n_dir):
+            p = [b for b in preds if sector_of_point(b.cx, b.cy, part) == s]
+            t = [b for b, o in zip(boxes, oracle) if o == s]
+            assert per[s] == average_precision(p, t, 0.5)
 
 
 def blocked(p, q, box):

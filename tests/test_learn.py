@@ -26,7 +26,7 @@ from dircp.learn import (
     training_log_csv,
 )
 from dircp.pipeline import RunSettings, prepare_scene
-from dircp.scenario import ScenarioConfig, generate
+from dircp.scenario import ScenarioConfig, _footprints, generate
 
 from _oracles import (
     detection_loss_masks,
@@ -100,7 +100,7 @@ class TestDetectionLoss:
     def test_perfect_prediction(self):
         grid = GridSpec(8, 8, 1.0)
         boxes = [RotatedBox.from_angle(1.0, 3.2, 4.7, 4.0, 2.0, 0.4)]
-        truth = rasterize_truth(boxes, grid)
+        truth = rasterize_truth(boxes, grid, _footprints(boxes, grid)[0])
         pred = truth.copy()
         sector = np.zeros((8, 8), dtype=np.int64)
         parts = detection_loss(pred, truth, sector, 1)
@@ -168,7 +168,7 @@ class TestDwLossGradient:
     def test_perfect_prediction_zero_regression_grad(self):
         grid = GridSpec(8, 8, 1.0)
         boxes = [RotatedBox.from_angle(1.0, 3.2, 4.7, 4.0, 2.0, 0.4)]
-        truth = rasterize_truth(boxes, grid)
+        truth = rasterize_truth(boxes, grid, _footprints(boxes, grid)[0])
         sector = np.zeros((8, 8), dtype=np.int64)
         grad = dw_loss_gradient(truth.copy(), truth, sector, (1,), 1.0)
         assert np.all(grad[:, :, 1:7] == 0.0)
@@ -447,7 +447,7 @@ class TestRasterize:
     def test_center_cell_and_offsets(self):
         grid = GridSpec(8, 8, 1.0)
         box = RotatedBox.from_angle(1.0, 3.2, 4.7, 4.0, 2.0, 0.0)
-        truth = rasterize_truth([box], grid)
+        truth = rasterize_truth([box], grid, _footprints([box], grid)[0])
         assert truth[4, 3, 0] == 1.0
         assert truth[4, 3, 1] == pytest.approx(3.2 - 3.5)
         assert truth[4, 3, 2] == pytest.approx(4.7 - 4.5)
@@ -464,7 +464,7 @@ class TestRasterize:
     def test_heading_canonicalized(self):
         grid = GridSpec(8, 8, 1.0)
         box = RotatedBox.from_angle(1.0, 4.0, 4.0, 4.0, 2.0, math.pi * 0.9)
-        truth = rasterize_truth([box], grid)
+        truth = rasterize_truth([box], grid, _footprints([box], grid)[0])
         r, c = grid.cell_of(4.0, 4.0)
         assert truth[r, c, 5] >= 0.0
 

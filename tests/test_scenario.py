@@ -347,12 +347,14 @@ class TestFootprintCells:
             boxes = list(world.vehicles)
             ref = rasterize_truth(boxes, world.grid,
                                   [footprint_cells_per_cell(b, world.grid) for b in boxes])
-            assert rasterize_truth(boxes, world.grid).tobytes() == ref.tobytes()
+            got = rasterize_truth(boxes, world.grid, _footprints(boxes, world.grid)[0])
+            assert got.tobytes() == ref.tobytes()
         grid = GridSpec(40, 48, 0.5, origin_x=-3.25, origin_y=1.5)
         boxes = [RotatedBox(1.0, 2.0, 6.5, 4.0, 2.0, 1.0, 0.0),
                  RotatedBox.from_angle(1.0, 12.25, 14.0, 4.5, 1.9, math.pi / 4)]
         ref = rasterize_truth(boxes, grid, [footprint_cells_per_cell(b, grid) for b in boxes])
-        assert rasterize_truth(boxes, grid).tobytes() == ref.tobytes()
+        got = rasterize_truth(boxes, grid, _footprints(boxes, grid)[0])
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestObserveBatched:
