@@ -126,8 +126,8 @@ def evaluate_boxes(preds, truths, partition, thresholds):
     ious = np.zeros((len(preds), len(truths)))  # far pairs, iou's early 0.0, stay 0.0
     for i, j in zip(*np.nonzero(~far_apart_pairs(preds, truths))):
         ious[i, j] = iou(preds[i], truths[j])
-    sector = [sectors_of(*np.reshape([(b.cx, b.cy) for b in boxes], (-1, 2)).T, partition)
-              for boxes in (preds, truths)]
+    centers = np.reshape([(b.cx, b.cy) for b in (*preds, *truths)], (-1, 2)).T
+    sector = np.split(sectors_of(*centers, partition), [len(preds)])
     by_sector = [[np.flatnonzero(side == s) for side in sector]
                  for s in range(partition.n_dir)]
     ap_at_iou = {t: average_precision(preds, truths, t, ious) for t in thresholds}
