@@ -333,7 +333,12 @@ def build_message(query: QueryMap, sender_features: BevFeatureMap, sender: int,
 
 
 def message_to_sparse(msg: FeatureMessage, shape: tuple[int, int, int]) -> SparseFeatureMap:
-    return SparseFeatureMap(msg.rows, msg.cols, msg.values.astype(np.float64), shape)
+    """The message as a received (H, W, D) map; a cell outside the grid or sent
+    twice, or a feature width other than D, raises MalformedMessage."""
+    try:
+        return SparseFeatureMap(msg.rows, msg.cols, msg.values.astype(np.float64), shape)
+    except ValueError as exc:
+        raise MalformedMessage(f"sender {msg.sender}: {exc}") from None
 
 
 def serialize(msg: FeatureMessage) -> bytes:
@@ -349,11 +354,11 @@ def serialize(msg: FeatureMessage) -> bytes:
                         len(entries), msg.d, 0) + entries.tobytes()
 
 
-def deserialize(data: bytes, grid_shape: tuple[int, int] | None = None) -> FeatureMessage:
+def deserialize(data: bytes) -> FeatureMessage:
     """Parse a wire payload, raising MalformedMessage on any structural defect.
 
-    Duplicate cells are not a wire defect: they parse, and SparseFeatureMap
-    rejects them when the message is turned into a received map.
+    The cells are checked against the receiver's grid by message_to_sparse: a
+    cell outside it or sent twice parses here.
     """
     if len(data) < HEADER_SIZE:
         raise MalformedMessage(f"truncated header: {len(data)} bytes")
@@ -372,11 +377,6 @@ def deserialize(data: bytes, grid_shape: tuple[int, int] | None = None) -> Featu
         raise MalformedMessage(f"length {len(data)} != expected {expected}")
     entries = np.frombuffer(data, dtype=entry, count=count, offset=HEADER_SIZE)
     rows, cols, values = entries["row"], entries["col"], entries["values"]
-    if grid_shape is not None:
-        outside = np.flatnonzero((rows >= grid_shape[0]) | (cols >= grid_shape[1]))
-        if outside.size:
-            i = outside[0]
-            raise MalformedMessage(f"cell ({rows[i]}, {cols[i]}) outside grid {grid_shape}")
     if not np.isfinite(values).all():
         raise MalformedMessage("non-finite feature value")
     return FeatureMessage(sender, receiver, rows, cols, values)

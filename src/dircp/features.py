@@ -59,8 +59,11 @@ class SparseFeatureMap:
             i = outside[0]
             raise ValueError(f"entry ({rows[i]}, {cols[i]}) outside {h}x{w}")
         flat = rows * w + cols  # strictly increasing, as build_message sends them: unique
-        if not (flat[1:] > flat[:-1]).all() and np.unique(flat).size != len(rows):
-            raise ValueError("duplicate entry")
+        if not (flat[1:] > flat[:-1]).all():
+            ordered = np.sort(flat)
+            twice = ordered[1:][ordered[1:] == ordered[:-1]]
+            if twice.size:
+                raise ValueError(f"duplicate entry ({twice[0] // w}, {twice[0] % w})")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 

@@ -131,17 +131,10 @@ class FusedMap:
             raise ValueError("attention trace weights must be finite and non-negative")
 
 
-def _rows(mask: np.ndarray) -> np.ndarray:
-    """Flat indices of the True cells; a lone one is repeated, as matmul would
-    take one row down another BLAS path (gemv) that rounds apart."""
-    idx = np.flatnonzero(mask)
-    return idx.repeat(2) if idx.size == 1 else idx
-
-
 def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
-    """The _rows of the cells where any collaborator's map landed, and there the
-    agents' presence (N, 1, M) and features (N, 1, M, D): the ego's rows, each
-    received map's entries, zeros where an agent is absent."""
+    """The flat indices of the M cells where any collaborator's map landed, and
+    there the agents' presence (N, M) and features (N, M, D): the ego's rows,
+    each received map's entries, zeros where an agent is absent."""
     h, w = ego.grid.shape
     landed = np.zeros(h * w, dtype=bool)
     landed_at = []
@@ -155,35 +148,33 @@ def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
         landed_at.append((j, flat, sparse.values))
     slot = np.cumsum(landed) - 1  # each landed cell's place among them
     cells = np.flatnonzero(landed)
-    present = np.zeros((len(received) + 1, 1, len(cells)), dtype=bool)
+    present = np.zeros((len(received) + 1, len(cells)), dtype=bool)
     present[0] = True
-    feats = np.zeros((len(received) + 1, 1, len(cells), ego.d))
-    feats[0, 0] = ego.values.reshape(h * w, ego.d)[cells]
+    feats = np.zeros((len(received) + 1, len(cells), ego.d))
+    feats[0] = ego.values.reshape(h * w, ego.d)[cells]
     for j, flat, values in landed_at:
-        present[j, 0, slot[flat]] = True
-        feats[j, 0, slot[flat]] = values
-    if len(cells) == 1:  # repeated, as _rows repeats a lone cell
-        return cells.repeat(2), present.repeat(2, axis=2), feats.repeat(2, axis=2)
+        present[j, slot[flat]] = True
+        feats[j, slot[flat]] = values
     return cells, present, feats
 
 
 def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
               confidence: np.ndarray, params: AttentionParams, total):
-    """The attention kernel; agents on axis 0, the ego first.
+    """The attention kernel over M cells; agents on axis 0, the ego first.
 
-    Per head, a scaled dot-product softmax of the ego's queries (H, W, D) over
-    the keys (N, H, W, D) of the agents present (N, H, W) at each cell; the
-    head average, pre, is scaled by confidence, 1 for the ego and (H, W, N-1)
-    for the others, and pools the agents' values ahead of the residual FFN.
-    total(x, axis) sums over agents. Returns the fused (H, W, D) map, the
-    weights and pre (N, H, W), and the tape of arrays attention_backward reads.
+    Per head, a scaled dot-product softmax of the ego's queries (M, D) over the
+    keys (N, M, D) of the agents present (N, M) at each cell; the head average,
+    pre, is scaled by confidence, 1 for the ego and (N-1, M) for the others, and
+    pools the agents' values ahead of the residual FFN. total(x, axis) sums over
+    agents. Returns the fused (M, D) rows, the weights and pre (N, M), and the
+    tape of arrays attention_backward reads.
     """
     scale = 1.0 / math.sqrt(params.head_dim)
     pre = np.zeros(present.shape, dtype=np.float64)
     heads = []
     for head in range(params.n_heads):
         q = ego @ params.wq[head].T
-        e = np.einsum("hwd,nhwd->nhw", q, feats @ params.wk[head].T) * scale
+        e = np.einsum("md,nmd->nm", q, feats @ params.wk[head].T) * scale
         e = np.where(present, e, -np.inf)
         ex = np.where(present, np.exp(e - e.max(axis=0)), 0.0)
         a = ex / total(ex, axis=0)
@@ -191,8 +182,7 @@ def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
         heads += [a, q]
     pre /= params.n_heads
     del e, ex  # the last head's: the pooling below is where the kernel peaks
-    conf = np.concatenate([np.ones((1, *confidence.shape[:2])),
-                           np.moveaxis(confidence, 2, 0)])
+    conf = np.concatenate([np.ones((1, len(ego))), confidence])
     weights = pre * conf
     values = feats @ params.value_matrix().T
     pooled = total(values * weights[..., None], axis=0)
@@ -202,8 +192,8 @@ def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
 
 
 def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams):
-    """d_fused (H, W, D), a loss's gradient at attention's fused map, carried
-    back to its feats and confidence: (N, H, W, D) and (H, W, N-1).
+    """d_fused (M, D), a loss's gradient at attention's fused rows, carried back
+    to its feats and confidence: (N, M, D) and (N-1, M).
 
     For every agent present and np.sum over agents, the ego's queries held
     fixed. tape is attention's, emptied as it is read: each array goes once
@@ -214,11 +204,11 @@ def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams)
     d_hidden = (d_fused @ params.ffn_w2) * (hidden > 0.0)
     d_pooled = d_fused + d_hidden @ params.ffn_w1
     del hidden, d_hidden
-    d_weights = np.einsum("hwd,nhwd->nhw", d_pooled, values)
+    d_weights = np.einsum("md,nmd->nm", d_pooled, values)
     d_values = np.multiply(weights[..., None], d_pooled[None], out=values)
     del values, weights, d_pooled
     d_feats = d_values @ params.value_matrix()
-    d_conf = np.moveaxis(d_weights[1:] * pre[1:], 0, 2)
+    d_conf = d_weights[1:] * pre[1:]
     scale = 1.0 / math.sqrt(params.head_dim)
     d_pre = d_weights * conf / params.n_heads
     del d_weights, pre, conf
@@ -230,6 +220,18 @@ def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams)
     return d_feats, d_conf
 
 
+def _attend(feats, present, confidence, params: AttentionParams):
+    """attention's fused rows, weights and pre, with feats[0] as the ego and
+    canonical_sum over agents. A lone row runs twice, as matmul would take one
+    row down another BLAS path (gemv) that rounds apart."""
+    m = feats.shape[1]
+    if m == 1:
+        feats, present, confidence = (x.repeat(2, axis=1) for x in (feats, present, confidence))
+    fused, weights, pre, _ = attention(feats[0], feats, present, confidence, params,
+                                       canonical_sum)
+    return fused[:m], weights[:, :m], pre[:, :m]
+
+
 def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
                 qcm: QueryConfidenceMap, params: AttentionParams) -> DsaWeights:
     """Scaled dot-product attention over agents at every cell.
@@ -239,8 +241,8 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     multiplied by the collaborator's query confidence. Sums over agents run in
     canonical order, so no weight depends on the order of the agents.
 
-    The kernel runs only on the cells where a collaborator's map landed,
-    gathered as (N, 1, M, D); elsewhere the ego is alone, so pre_qcm and the
+    The kernel runs only on the M cells where a collaborator's map landed,
+    gathered as (N, M, D); elsewhere the ego is alone, so pre_qcm and the
     weights are [1.0, 0.0, ...] and present is [True, False, ...] there. Every
     field is read-only; cells and rows hand fuse the landed cells' fused rows.
     """
@@ -250,35 +252,32 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
     if params.d != ego.d:
         raise ShapeMismatch("attention params width disagrees with features")
     cells, present, feats = _gather(ego, received)
-    conf = qcm.values.reshape(1, h * w, len(received))[:, cells]  # (1, M, N-1)
-    rows, at, pre_at, _ = attention(feats[0], feats, present, conf, params, canonical_sum)
+    conf = qcm.values.reshape(h * w, len(received))[cells].T  # (N-1, M)
+    rows, at, pre_at = _attend(feats, present, conf, params)
     grids = []
-    for landed_rows in (at, pre_at, present):  # the ego column, then the landed rows
-        full = np.zeros((h * w, len(feats)), dtype=landed_rows.dtype)
-        full[:, 0], full[cells] = 1, landed_rows[:, 0].T
+    for landed in (at, pre_at, present):  # the ego column, then the landed cells
+        full = np.zeros((h * w, len(feats)), dtype=landed.dtype)
+        full[:, 0], full[cells] = 1, landed.T
         grids.append(full.reshape(h, w, -1))
     for arr in (*grids, cells, rows):
         arr.setflags(write=False)
-    return DsaWeights(*grids, cells=cells, rows=rows[0])
+    return DsaWeights(*grids, cells=cells, rows=rows)
 
 
 def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
     """The fused (H, W, D) map of the ego alone at weight 1.0 on every cell: what
     fuse gives wherever no collaborator's map landed.
 
-    attention runs on blocks of at least two rows (a lone row takes matmul's
-    gemv path, which rounds apart), so no temporary spans the grid. Alone, the
+    attention runs on blocks of rows, so no temporary spans the grid. Alone, the
     ego's softmax gives it a weight of exactly 1.0.
     """
-    h, w = ego.grid.shape
-    flat = ego.values.reshape(h * w, ego.d)
-    rows = _rows(np.ones(h * w, dtype=bool))
-    out = np.empty((h * w, ego.d))
-    for block in np.array_split(rows, -(-len(rows) // _EGO_ONLY_BLOCK)):
-        alone = flat[block][None]
-        out[block] = attention(alone, alone[None], np.ones((1, 1, len(block)), dtype=bool),
-                               np.empty((1, len(block), 0)), params, canonical_sum)[0][0]
-    return out.reshape(h, w, ego.d)
+    n = ego.grid.h * ego.grid.w
+    flat = ego.values.reshape(n, ego.d)
+    out = np.empty((n, ego.d))
+    for block in np.array_split(np.arange(n), -(-n // _EGO_ONLY_BLOCK)):
+        out[block] = _attend(flat[block][None], np.ones((1, len(block)), dtype=bool),
+                             np.empty((0, len(block))), params)[0]
+    return out.reshape(ego.values.shape)
 
 
 def fuse(ego: BevFeatureMap, weights: DsaWeights, ego_only_map: np.ndarray) -> FusedMap:

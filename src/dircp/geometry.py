@@ -48,10 +48,6 @@ class RotatedBox:
         return cls(confidence, cx, cy, length, width, math.cos(angle), math.sin(angle))
 
     @property
-    def angle(self) -> float:
-        return math.atan2(self.sin_a, self.cos_a)
-
-    @property
     def area(self) -> float:
         return self.length * self.width
 

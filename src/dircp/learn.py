@@ -151,21 +151,23 @@ def detection_loss(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray,
     return _loss_parts(pred, LossTerms.of(truth, sector_map, n_dir), lambda_off, lambda_size)
 
 
-def _mask_bits(mask) -> tuple[int, ...]:
-    return tuple(getattr(mask, "mask", mask))
+def _weighting(mask, sigma: float) -> tuple[tuple[int, ...], float]:
+    """The mask bits M_i and Eq. 8's denominator, sum_i M_i + sigma n_dir."""
+    bits = tuple(getattr(mask, "mask", mask))
+    denom = sum(bits) + sigma * len(bits)
+    if denom == 0.0:
+        raise DegenerateWeights("sigma = 0 with an all-zero mask")
+    return bits, denom
 
 
 def dw_loss(per_direction, mask, sigma: float) -> float:
     """Direction-weighted total: sum_i L_i (M_i + sigma) / (sum_i M_i + sigma n_dir)."""
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    bits = _mask_bits(mask)
+    bits, denom = _weighting(mask, sigma)
     losses = np.asarray(per_direction, dtype=np.float64)
     if len(bits) != len(losses):
         raise ValueError("mask and per-direction losses disagree on n_dir")
-    denom = sum(bits) + sigma * len(bits)
-    if denom == 0.0:
-        raise DegenerateWeights("sigma = 0 with an all-zero mask")
     num = float(sum(loss * (bit + sigma) for loss, bit in zip(losses, bits)))
     return num / denom
 
@@ -173,10 +175,7 @@ def dw_loss(per_direction, mask, sigma: float) -> float:
 def _loss_grads(pred: np.ndarray, terms: LossTerms, mask, sigma: float,
                 lambda_off: float, lambda_size: float):
     """dw_loss's gradient: (H*W,) on objectness, (len(reg), 6) on the regression cells."""
-    bits = _mask_bits(mask)
-    denom = sum(bits) + sigma * len(bits)
-    if denom == 0.0:
-        raise DegenerateWeights("sigma = 0 with an all-zero mask")
+    bits, denom = _weighting(mask, sigma)
     # Per-cell outer coefficient: direction weight / direction positive count.
     coef = np.zeros(len(terms.positive))
     for cells, norm, bit in zip(terms.cells, np.maximum(terms.n_pos, 1), bits):
@@ -192,7 +191,7 @@ def dw_loss_gradient(pred: np.ndarray, truth: np.ndarray, sector_map: np.ndarray
                      mask, sigma: float, lambda_off: float = 1.0,
                      lambda_size: float = 1.0) -> np.ndarray:
     """Analytic gradient of dw_loss w.r.t. every entry of the prediction map."""
-    terms = LossTerms.of(truth, sector_map, len(_mask_bits(mask)))
+    terms = LossTerms.of(truth, sector_map, len(_weighting(mask, sigma)[0]))
     grad = np.zeros((len(terms.positive), 7))
     grad[:, 0], grad[terms.reg, 1:] = _loss_grads(pred, terms, mask, sigma, lambda_off,
                                                   lambda_size)
@@ -248,41 +247,37 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     tau = settings.tau
     # The threshold cell is the last one the hard clip keeps.
     limit = min(per_collaborator_budget(budget, h, w), hw)
-    # From here the grid is one row of H*W cells, the same cells in the same order:
-    # the kernel's matmuls then run one gemm per agent, not one per agent and row.
-    h, w = 1, hw
-    f = scene.features.reshape(n, h, w, d)
+    f = scene.features.reshape(n, hw, d)  # the kernel's rows: the grid's cells in order
 
     qcm, mlp_cache = score_mlp_forward(params, scene.q0, scene.pe, scene.de)
-    c_vals = qcm.values.reshape(h, w, k)
-    flat = c_vals.reshape(hw, k).T
+    conf = qcm.values.reshape(hw, k).T  # agent-major, as the kernel takes it
     qs = np.zeros((k, hw))
     if limit > 0:
-        thr_idx = top_cells(flat, limit)[1]
-        qs = sigmoid((flat - flat[np.arange(k), thr_idx][:, None]) / tau)
+        thr_idx = top_cells(conf, limit)[1]
+        qs = sigmoid((conf - conf[np.arange(k), thr_idx][:, None]) / tau)
 
     # Soft-clipped collaborators, the ego kept whole; the weights and pre ride on the tape.
-    fused, tape = attention(f[0], f * np.vstack([np.ones((1, hw)), qs]).reshape(n, h, w, 1),
-                            np.ones((n, h, w), dtype=bool), c_vals, attn, np.sum)[::3]
-    loss, per_dir, pred = _objective(fused, tscene, settings)
+    fused, tape = attention(f[0], f * np.vstack([np.ones((1, hw)), qs])[..., None],
+                            np.ones((n, hw), dtype=bool), conf, attn, np.sum)[::3]
+    loss, per_dir, pred = _objective(fused.reshape(h, w, d), tscene, settings)
     dp0, dreg = _loss_grads(pred, tscene.terms, scene.mask, settings.loss_sigma,
                             settings.lambda_off, settings.lambda_size)
-    dfused = np.zeros((h, w, d))
-    p0 = pred[:, :, 0]
-    dfused[:, :, 0] = dp0.reshape(h, w) * p0 * (1.0 - p0)
+    dfused = np.zeros((hw, d))
+    p0 = pred.reshape(hw, 7)[:, 0]
+    dfused[:, 0] = dp0 * p0 * (1.0 - p0)
     reg = min(7, d)
-    dfused.reshape(hw, d)[tscene.terms.reg, 1:reg] += dreg[:, :reg - 1]
+    dfused[tscene.terms.reg, 1:reg] += dreg[:, :reg - 1]
     del fused, pred, p0, dp0  # each large array goes once the backward has read it
 
     dh_ag, d_c = attention_backward(dfused, tape, attn)
 
     if limit > 0:
-        dqs = np.einsum("nhwd,nhwd->nhw", dh_ag[1:], f[1:]).reshape(k, hw)
+        dqs = np.einsum("nmd,nmd->nm", dh_ag[1:], f[1:])
         g = qs * (1.0 - qs) / tau * dqs
         g[np.arange(k), thr_idx] -= g.sum(axis=1)
-        d_c = d_c + np.moveaxis(g.reshape(k, h, w), 0, 2)
+        d_c += g
 
-    grads = score_mlp_backward(mlp_cache, d_c)
+    grads = score_mlp_backward(mlp_cache, d_c.T)
     return loss, grads, per_dir
 
 

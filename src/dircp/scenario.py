@@ -28,6 +28,7 @@ _MAX_ATTEMPTS = 10_000
 VEHICLE_LENGTH_RANGE = (3.5, 5.5)
 VEHICLE_WIDTH_RANGE = (1.6, 2.2)
 SEED_RANGE = range(-(2**63), 2**64)  # what a seed may be; generate reduces it mod 2**64
+_BLOCK_EPS = 1e-9  # the share of a segment a box must cover, off its ends, to block it
 
 
 class PlacementExhausted(RuntimeError):
@@ -166,7 +167,7 @@ def _box_arrays(boxes) -> np.ndarray:
 
 
 def _segments_blocked(pos: tuple[float, float], targets: np.ndarray,
-                      boxes: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+                      boxes: np.ndarray) -> np.ndarray:
     """Open-segment-vs-box test of segments pos -> targets (K, 2): (B, K) bools.
 
     A slab the segment runs parallel to gives infinite entry and exit times:
@@ -186,7 +187,7 @@ def _segments_blocked(pos: tuple[float, float], targets: np.ndarray,
             tb = (half - start) / deltas
             t0 = np.maximum(t0, np.minimum(ta, tb))
             t1 = np.minimum(t1, np.maximum(ta, tb))
-        return ((t1 - t0) > eps) & (t1 > eps) & (t0 < 1.0 - eps)
+        return ((t1 - t0) > _BLOCK_EPS) & (t1 > _BLOCK_EPS) & (t0 < 1.0 - _BLOCK_EPS)
 
 
 def generate(config: ScenarioConfig, grid: GridSpec | None = None) -> ScenarioWorld:

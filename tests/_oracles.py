@@ -678,14 +678,34 @@ def soft_forward_reference(params, tscene, budget, settings, want_grad=True):
 
 
 def soft_attention(ego, feats, present, confidence, params, total):
-    """Drop-in for fusion.attention on the training path: the two inline halves
-    above, returning (fused, weights, pre, tape) with the tape
-    fusion.attention_backward reads."""
+    """The training path's kernel on a grid: the two inline halves above,
+    returning (fused, weights, pre, tape) with the tape's arrays in the order
+    fusion.attention_backward reads them."""
     wgt, pre, conf, a_heads, q_heads = soft_attention_weights(
         ego, feats, present, confidence, params, total)
     fused, v, u = soft_attention_pool(feats, wgt, params, total)
     heads = [x for a, q in zip(a_heads, q_heads) for x in (a, q)]
     return fused, wgt, pre, [u, v, wgt, pre, conf, *heads]
+
+
+def one_row_grid(ego, feats, present, confidence):
+    """fusion.attention's row arguments as the 1 x M grid the grid oracles take,
+    whose matmuls run one gemm per agent over the same M rows."""
+    return ego[None], feats[:, None], present[:, None], confidence.T[None]
+
+
+def rows_of(x):
+    """An array on the 1 x M grid as rows: its first two axes, one of them of
+    length 1, merge."""
+    return x.reshape(-1, *x.shape[2:])
+
+
+def soft_attention_rows(ego, feats, present, confidence, params, total):
+    """soft_attention as a drop-in for fusion.attention: run on the 1 x M grid of
+    the rows, its outputs and tape returned as rows."""
+    fused, wgt, pre, tape = soft_attention(*one_row_grid(ego, feats, present, confidence),
+                                           params, total)
+    return rows_of(fused), rows_of(wgt), rows_of(pre), [rows_of(x) for x in tape]
 
 
 def stack_agents(ego, received):

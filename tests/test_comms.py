@@ -400,10 +400,13 @@ class TestMessages:
     def test_out_of_range_indices_rejected(self):
         msg = FeatureMessage(sender=1, receiver=0, rows=np.array([7]), cols=np.array([7]),
                              values=np.zeros((1, 2), dtype=np.float32))
-        data = serialize(msg)
-        with pytest.raises(MalformedMessage):
-            deserialize(data, grid_shape=(4, 4))
-        assert deserialize(data, grid_shape=(8, 8)) == msg
+        received = deserialize(serialize(msg))
+        assert received == msg  # the grid is checked on receipt, not on the wire
+        with pytest.raises(MalformedMessage, match=r"sender 1: entry \(7, 7\) outside 4x4"):
+            message_to_sparse(received, (4, 4, 2))
+        with pytest.raises(MalformedMessage, match=r"\(7, 7\) outside 8x7"):
+            message_to_sparse(received, (8, 7, 2))
+        assert message_to_sparse(received, (8, 8, 2)).rows.tolist() == [7]
 
     def test_serialize_matches_struct_oracle(self):
         grid = GridSpec(8, 8, 1.0)
@@ -424,11 +427,18 @@ class TestMessages:
             deserialize(serialize(msg))
 
     def test_duplicate_cell_parses(self):
-        # Duplicates are a map-level defect (SparseFeatureMap), not a wire defect.
+        # Duplicates are a map-level defect (message_to_sparse), not a wire defect.
         msg = FeatureMessage(sender=1, receiver=0, rows=np.array([3, 3]),
                              cols=np.array([1, 1]),
                              values=np.arange(4, dtype=np.float32).reshape(2, 2))
-        assert deserialize(serialize(msg), grid_shape=(4, 4)) == msg
+        assert deserialize(serialize(msg)) == msg
+
+    def test_duplicate_cell_rejected_on_receipt(self):
+        msg = FeatureMessage(sender=2, receiver=0, rows=np.array([0, 3, 1, 3]),
+                             cols=np.array([2, 1, 0, 1]),
+                             values=np.zeros((4, 2), dtype=np.float32))
+        with pytest.raises(MalformedMessage, match=r"sender 2: duplicate entry \(3, 1\)"):
+            message_to_sparse(deserialize(serialize(msg)), (4, 4, 2))
 
     def test_entry_count_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):

@@ -17,7 +17,6 @@ from dircp.fusion import (
     FusedMap,
     _clusters,
     _gather,
-    _rows,
     attention,
     attention_backward,
     attention_trace_csv,
@@ -39,7 +38,9 @@ from _oracles import (
     dense_fuse,
     hard_attention_pool,
     hard_attention_weights,
-    soft_attention,
+    one_row_grid,
+    rows_of,
+    soft_attention_rows,
     stack_agents,
 )
 
@@ -321,6 +322,11 @@ class TestGatherMatchesDense:
         for received in ([empty, lone, None], [empty, None], [lone, empty], [empty]):
             assert_matches_dense(ego, received,
                                  qcm_of(rng.uniform(0, 1, (5, 6, len(received)))), params)
+            weights = dsa_weights(ego, received, qcm_of(np.ones((5, 6, len(received)))),
+                                  params)  # the lone cell (4, 5) appears once
+            landed = [4 * 6 + 5] if any(r is lone for r in received) else []
+            assert weights.cells.tolist() == landed
+            assert weights.rows.shape == (len(landed), 8)
 
     @pytest.mark.parametrize("case", ["none", "empty", "lone", "sparse", "every"])
     def test_gather_is_the_stacked_agents_at_the_landed_cells(self, case):
@@ -333,13 +339,14 @@ class TestGatherMatchesDense:
                     sparse_from_dense(rng.normal(size=(7, 6, 8)), cells),
                     None, sparse_from_dense(rng.normal(size=(7, 6, 8)), every[1::7])
                     if case == "sparse" else None]
-        rows, present, feats = _gather(ego, received)
+        cells, present, feats = _gather(ego, received)
         stacked, stacked_present = stack_agents(ego, received)
-        assert np.array_equal(rows, _rows(stacked_present[1:].any(axis=0).ravel()))
-        assert len(rows) == {"none": 0, "empty": 0, "lone": 2}.get(case, len(set(rows)))
-        assert same_bytes(present, stacked_present.reshape(4, 1, -1)[:, :, rows])
+        assert np.array_equal(cells, np.flatnonzero(stacked_present[1:].any(axis=0)))
+        assert len(cells) == {"none": 0, "empty": 0, "lone": 1, "every": 42}.get(case,
+                                                                                 len(cells))
+        assert same_bytes(present, stacked_present.reshape(4, -1)[:, cells])
         assert feats.flags.c_contiguous
-        assert same_bytes(feats, stacked.reshape(4, 1, -1, 8)[:, :, rows])
+        assert same_bytes(feats, stacked.reshape(4, -1, 8)[:, cells])
 
     @pytest.mark.parametrize("params", PARAMS)
     def test_fuse_copies_the_ego_only_map_it_is_given(self, params):
@@ -380,8 +387,8 @@ class TestGatherMatchesDense:
 
 def alone(rows, params):
     """attention over (M, D) rows of the ego with no other agent."""
-    return attention(rows[None], rows[None, None], np.ones((1, 1, len(rows)), dtype=bool),
-                     np.empty((1, len(rows), 0)), params, canonical_sum)
+    return attention(rows, rows[None], np.ones((1, len(rows)), dtype=bool),
+                     np.empty((0, len(rows))), params, canonical_sum)
 
 
 class TestEgoOnly:
@@ -390,7 +397,7 @@ class TestEgoOnly:
                                        (33, 31), (64, 64)])
     def test_equals_one_pass_over_the_whole_grid(self, shape, params):
         """Blocks keep each row's bits, and no row takes matmul's one-row (gemv)
-        path: a 1x1 grid's row is repeated, as _rows repeats a lone cell."""
+        path: a 1x1 grid's lone row runs twice."""
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         values = rng.normal(size=(*shape, 8))
         values[0, 0, :3] = -0.0
@@ -400,7 +407,7 @@ class TestEgoOnly:
         whole, weights, pre, _ = alone(rows, params)
         assert (weights == 1.0).all() and (pre == 1.0).all()
         got = ego_only(ego, params)
-        assert same_bytes(got, whole[0, :values[..., 0].size].reshape(values.shape))
+        assert same_bytes(got, whole[:values[..., 0].size].reshape(values.shape))
         if len(rows) > 2:  # the dense oracle's lone row would itself take gemv
             no_message = dense_dsa_weights(ego, [None], qcm_of(np.zeros((*shape, 1))),
                                            params)
@@ -412,28 +419,31 @@ class TestEgoOnly:
         row = np.random.default_rng(0).normal(size=(1, 8))
         one = alone(row, params)[0]
         ego = BevFeatureMap(GridSpec(1, 1, 1.0), row.reshape(1, 1, 8))
-        assert not same_bytes(ego_only(ego, params).reshape(1, 8), one[0])
+        assert not same_bytes(ego_only(ego, params).reshape(1, 8), one)
 
 
 def kernel_inputs(rng, trial):
-    """Seeded kernel inputs: 2-9 agents, 1-4 heads, identity or random params."""
+    """Seeded kernel inputs on 1-36 rows: 2-9 agents, 1-4 heads, identity or
+    random params."""
     n = int(rng.integers(2, 10))
     n_heads = int(rng.integers(1, 5))
     d = 12 if n_heads == 3 else 8
-    h, w = (int(v) for v in rng.integers(1, 7, 2))
+    m = int(np.prod(rng.integers(1, 7, 2)))
     params = (AttentionParams.identity(d, n_heads) if trial % 2 == 0
               else AttentionParams.random(d, n_heads, seed=trial))
-    feats = rng.normal(size=(n, h, w, d))
-    present = rng.uniform(size=(n, h, w)) < 0.6
+    feats = rng.normal(size=(n, m, d))
+    present = rng.uniform(size=(n, m)) < 0.6
     present[0] = True
-    present[1:, 0, 0] = False  # at least one cell with the ego alone
+    present[1:, 0] = False  # at least one cell with the ego alone
     feats[1:][~present[1:]] = 0.0
-    confidence = rng.uniform(0.0, 1.0, (h, w, n - 1))
-    confidence[rng.uniform(size=(h, w, n - 1)) < 0.2] = 0.0
+    confidence = rng.uniform(0.0, 1.0, (n - 1, m))
+    confidence[rng.uniform(size=(n - 1, m)) < 0.2] = 0.0
     return feats, present, confidence, params
 
 
 class TestKernelMatchesOracles:
+    """The row kernel against the grid oracles fed the 1 x M grid of its rows."""
+
     @pytest.mark.parametrize("total", [canonical_sum, np.sum])
     def test_matches_inline_evaluation_path(self, total):
         rng = np.random.default_rng(31)
@@ -441,21 +451,21 @@ class TestKernelMatchesOracles:
             feats, present, confidence, params = kernel_inputs(rng, trial)
             fused, weights, pre, _ = attention(feats[0], feats, present, confidence,
                                                params, total)
-            ref_weights, ref_pre = hard_attention_weights(feats[0], feats, present,
-                                                          confidence, params, total)
-            assert np.array_equal(weights, ref_weights)
-            assert np.array_equal(pre, ref_pre)
-            assert np.array_equal(fused, hard_attention_pool(feats, ref_weights,
-                                                             params, total))
+            grid = one_row_grid(feats[0], feats, present, confidence)
+            ref_weights, ref_pre = hard_attention_weights(*grid, params, total)
+            assert np.array_equal(weights, rows_of(ref_weights))
+            assert np.array_equal(pre, rows_of(ref_pre))
+            assert np.array_equal(fused, rows_of(hard_attention_pool(grid[1], ref_weights,
+                                                                     params, total)))
 
     def test_matches_inline_training_path(self):
         rng = np.random.default_rng(32)
         for trial in range(40):
             feats, _, confidence, params = kernel_inputs(rng, trial)
-            present = np.ones(feats.shape[:3], dtype=bool)
+            present = np.ones(feats.shape[:2], dtype=bool)
             args = (feats[0], feats, present, confidence, params, np.sum)
             got = attention(*args)
-            ref = soft_attention(*args)
+            ref = soft_attention_rows(*args)
             for a, b in zip(got[:3], ref[:3]):
                 assert np.array_equal(a, b)
             assert len(got[3]) == len(ref[3]) == 5 + 2 * params.n_heads
@@ -468,11 +478,11 @@ class TestKernelMatchesOracles:
         features and the confidence, the ego's queries held fixed."""
         rng = np.random.default_rng(33 + n_heads)
         params = AttentionParams.random(4, n_heads, seed=7 + n_heads, scale=0.6)
-        ego = rng.normal(size=(1, 5, 4))
-        feats = rng.normal(size=(3, 1, 5, 4))
-        confidence = rng.uniform(0.1, 0.9, (1, 5, 2))
-        present = np.ones((3, 1, 5), dtype=bool)
-        g = rng.normal(size=(1, 5, 4))
+        ego = rng.normal(size=(5, 4))
+        feats = rng.normal(size=(3, 5, 4))
+        confidence = rng.uniform(0.1, 0.9, (2, 5))
+        present = np.ones((3, 5), dtype=bool)
+        g = rng.normal(size=(5, 4))
 
         def objective(f, c):
             return float(np.sum(g * attention(ego, f, present, c, params, np.sum)[0]))

@@ -98,8 +98,8 @@ LONE_ROW_HOLDS = {None: LONE_ROW, "Sandybridge": LONE_ROW,
 
 @pytest.mark.parametrize("coretype", CORETYPES, ids=lambda c: c or "default")
 def test_lone_row_repeat_under_each_coretype(coretype):
-    """_rows repeats a lone gathered row so that it does not take matmul's one-row
-    (gemv) path: the fusion tests of lone rows, run under each core type."""
+    """fusion._attend runs a lone row twice so that it does not take matmul's
+    one-row (gemv) path: the fusion tests of lone rows, run under each core type."""
     proc = child(["-m", "pytest", "-q", "-p", "no:cacheprovider",
                   str(Path(__file__).with_name("test_fusion.py")),
                   "-k", LONE_ROW_HOLDS[coretype]], coretype, cwd=SRC.parent)

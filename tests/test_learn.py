@@ -32,8 +32,8 @@ from _oracles import (
     detection_loss_masks,
     dw_loss_gradient_masks,
     objective_reference,
-    soft_attention,
     sigmoid_two_branch,
+    soft_attention_rows,
     soft_forward_loops,
     soft_forward_reference,
 )
@@ -299,7 +299,7 @@ class TestSoftPathMatchesOracle:
         params = ScorerParams.random(4, seed=seed, scale=0.4)
         loss, grads, per_dir = soft_forward(params, ts, 0.3, settings)
         import dircp.learn
-        monkeypatch.setattr(dircp.learn, "attention", soft_attention)
+        monkeypatch.setattr(dircp.learn, "attention", soft_attention_rows)
         ref_loss, ref_grads, ref_per_dir = soft_forward(params, ts, 0.3, settings)
         assert loss == ref_loss
         assert np.array_equal(per_dir, ref_per_dir)
