@@ -1,6 +1,6 @@
 """Golden outputs: the sha256 of every artifact of small default-config CLI runs.
 
-Each command runs on one small world with the default fusion settings (identity
+Each command runs on small worlds with the default fusion settings (identity
 init, whose bytes tests/test_kernels.py shows do not depend on the BLAS kernels).
 Every file it writes is hashed, effective.cfg without its `directory` line, and so
 is `dircp train`'s summary line. A change that means to change an output
