@@ -158,25 +158,26 @@ def _gather(ego: BevFeatureMap, received: list[SparseFeatureMap | None]):
     return cells, present, feats
 
 
-def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
+def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray | None,
               confidence: np.ndarray, params: AttentionParams, total):
     """The attention kernel over M cells; agents on axis 0, the ego first.
 
     Per head, a scaled dot-product softmax of the ego's queries (M, D) over the
-    keys (N, M, D) of the agents present (N, M) at each cell; the head average,
-    pre, is scaled by confidence, 1 for the ego and (N-1, M) for the others, and
-    pools the agents' values ahead of the residual FFN. total(x, axis) sums over
-    agents. Returns the fused (M, D) rows, the weights and pre (N, M), and the
-    tape of arrays attention_backward reads.
+    keys (N, M, D) of the agents present (N, M; None for all) at each cell; the
+    head average, pre, is scaled by confidence, 1 for the ego and (N-1, M) for
+    the others, and pools the agents' values ahead of the residual FFN. total(x,
+    axis) sums over agents. Returns the fused (M, D) rows, the weights and pre
+    (N, M), and the tape of arrays attention_backward reads.
     """
     scale = 1.0 / math.sqrt(params.head_dim)
-    pre = np.zeros(present.shape, dtype=np.float64)
+    pre = np.zeros(feats.shape[:2], dtype=np.float64)
     heads = []
     for head in range(params.n_heads):
         q = ego @ params.wq[head].T
         e = np.einsum("md,nmd->nm", q, feats @ params.wk[head].T) * scale
-        e = np.where(present, e, -np.inf)
-        ex = np.where(present, np.exp(e - e.max(axis=0)), 0.0)
+        if present is not None:  # an absent agent's exp(-inf) is exactly 0.0
+            e = np.where(present, e, -np.inf)
+        ex = np.exp(e - e.max(axis=0))
         a = ex / total(ex, axis=0)
         pre += a
         heads += [a, q]
@@ -193,7 +194,7 @@ def attention(ego: np.ndarray, feats: np.ndarray, present: np.ndarray,
 
 def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams):
     """d_fused (M, D), a loss's gradient at attention's fused rows, carried back
-    to its feats and confidence: (N, M, D) and (N-1, M).
+    to the collaborators' feats and the confidence: (N-1, M, D) and (N-1, M).
 
     For every agent present and np.sum over agents, the ego's queries held
     fixed. tape is attention's, emptied as it is read: each array goes once
@@ -205,7 +206,7 @@ def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams)
     d_pooled = d_fused + d_hidden @ params.ffn_w1
     del hidden, d_hidden
     d_weights = np.einsum("md,nmd->nm", d_pooled, values)
-    d_values = np.multiply(weights[..., None], d_pooled[None], out=values)
+    d_values = np.multiply(weights[1:, :, None], d_pooled[None], out=values[1:])
     del values, weights, d_pooled
     d_feats = d_values @ params.value_matrix()
     d_conf = d_weights[1:] * pre[1:]
@@ -215,7 +216,7 @@ def attention_backward(d_fused: np.ndarray, tape: list, params: AttentionParams)
     for wk in params.wk:
         a, q = tape[:2]
         del tape[:2]
-        d_e = a * (d_pre - (a * d_pre).sum(axis=0))
+        d_e = a[1:] * (d_pre[1:] - (a * d_pre).sum(axis=0))
         d_feats += np.matmul(d_e[..., None] * q[None] * scale, wk, out=d_values)
     return d_feats, d_conf
 

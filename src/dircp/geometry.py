@@ -220,10 +220,12 @@ def sectors_of(x, y, partition: SectorPartition) -> np.ndarray:
     ang = np.degrees(atan.reshape(dx.shape) - partition.frame_heading) % 360.0
     los = [lo for lo, _ in partition.boundaries]
     sectors = np.searchsorted(los, ang, side="right") - 1
-    for i in reversed(range(partition.n_dir)):  # written last, the first snap wins
-        diff = ang - los[i]
-        snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
-        sectors[snap] = i
+    # Only an angle within the snap of a boundary or of 360 can snap (rounding is monotone).
+    if (np.abs(ang[..., None] - np.array([*los, 360.0])) <= _EPS_ANGLE_DEG).any():
+        for i in reversed(range(partition.n_dir)):  # written last, the first snap wins
+            diff = ang - los[i]
+            snap = (np.abs(diff) <= _EPS_ANGLE_DEG) | (np.abs(diff - 360.0) <= _EPS_ANGLE_DEG)
+            sectors[snap] = i
     sectors[(dx == 0.0) & (dy == 0.0)] = 0
     return sectors
 

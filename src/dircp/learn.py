@@ -257,8 +257,10 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
         qs = sigmoid((conf - conf[np.arange(k), thr_idx][:, None]) / tau)
 
     # Soft-clipped collaborators, the ego kept whole; the weights and pre ride on the tape.
-    fused, tape = attention(f[0], f * np.vstack([np.ones((1, hw)), qs])[..., None],
-                            np.ones((n, hw), dtype=bool), conf, attn, np.sum)[::3]
+    feats = np.empty((n, hw, d))
+    feats[0] = f[0]
+    np.multiply(f[1:], qs[..., None], out=feats[1:])
+    fused, tape = attention(f[0], feats, None, conf, attn, np.sum)[::3]
     loss, per_dir, pred = _objective(fused.reshape(h, w, d), tscene, settings)
     dp0, dreg = _loss_grads(pred, tscene.terms, scene.mask, settings.loss_sigma,
                             settings.lambda_off, settings.lambda_size)
@@ -267,12 +269,12 @@ def soft_forward(params: ScorerParams, tscene: TrainScene, budget: float,
     dfused[:, 0] = dp0 * p0 * (1.0 - p0)
     reg = min(7, d)
     dfused[tscene.terms.reg, 1:reg] += dreg[:, :reg - 1]
-    del fused, pred, p0, dp0  # each large array goes once the backward has read it
+    del feats, fused, pred, p0, dp0  # each large array goes before the backward runs
 
-    dh_ag, d_c = attention_backward(dfused, tape, attn)
+    d_feats, d_c = attention_backward(dfused, tape, attn)
 
     if limit > 0:
-        dqs = np.einsum("nmd,nmd->nm", dh_ag[1:], f[1:])
+        dqs = np.einsum("nmd,nmd->nm", d_feats, f[1:])
         g = qs * (1.0 - qs) / tau * dqs
         g[np.arange(k), thr_idx] -= g.sum(axis=1)
         d_c += g

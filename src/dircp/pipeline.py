@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -121,12 +122,16 @@ class SceneInputs:
 @dataclass(frozen=True)
 class PipelineResult:
     method: str
-    boxes: list[RotatedBox]
+    conf_threshold: float
     fused: FusedMap
     mask: DirectionMask
     qcm: QueryConfidenceMap | None
     query: QueryMap | None
     ledger: BudgetLedger
+
+    @cached_property  # decoded on first read, then kept
+    def boxes(self) -> list[RotatedBox]:
+        return decode(self.fused, self.conf_threshold)
 
 
 def clamp_interest(weights, n_dir: int) -> tuple[float, ...]:
@@ -198,8 +203,8 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
     if method == "single":
         trace = np.ones((scene.grid.h, scene.grid.w, 1))
         fused = FusedMap(grid=scene.grid, values=ego.values, attention_trace=trace)
-        boxes = decode(fused, settings.conf_threshold)
-        return PipelineResult("single", boxes, fused, scene.mask, None, None, ledger)
+        return PipelineResult(method, settings.conf_threshold, fused, scene.mask, None, None,
+                              ledger)
 
     de = np.ones_like(scene.de) if method == "uniform" else scene.de
     qcm = score_scene(scene, de, scorer_params)
@@ -216,5 +221,4 @@ def run_pipeline(scene: SceneInputs, method: str, budget: float,
         received.append(message_to_sparse(deserialize(serialize(msg)), shape))
     weights = dsa_weights(ego, received, qcm, scene.attention)
     fused = fuse(ego, weights, scene.ego_fused)
-    boxes = decode(fused, settings.conf_threshold)
-    return PipelineResult(method, boxes, fused, scene.mask, qcm, query, ledger)
+    return PipelineResult(method, settings.conf_threshold, fused, scene.mask, qcm, query, ledger)

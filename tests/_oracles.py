@@ -702,7 +702,9 @@ def rows_of(x):
 
 def soft_attention_rows(ego, feats, present, confidence, params, total):
     """soft_attention as a drop-in for fusion.attention: run on the 1 x M grid of
-    the rows, its outputs and tape returned as rows."""
+    the rows, its outputs and tape returned as rows; present None is every agent."""
+    if present is None:
+        present = np.ones(feats.shape[:2], dtype=bool)
     fused, wgt, pre, tape = soft_attention(*one_row_grid(ego, feats, present, confidence),
                                            params, total)
     return rows_of(fused), rows_of(wgt), rows_of(pre), [rows_of(x) for x in tape]

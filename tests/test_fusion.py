@@ -472,10 +472,19 @@ class TestKernelMatchesOracles:
             for a, b in zip(got[3], ref[3]):
                 assert np.array_equal(a, b)
 
+    def test_present_none_is_every_agent_present(self):
+        rng = np.random.default_rng(34)
+        for trial in range(40):
+            feats, _, confidence, params = kernel_inputs(rng, trial)
+            got, ref = (attention(feats[0], feats, present, confidence, params, np.sum)
+                        for present in (None, np.ones(feats.shape[:2], dtype=bool)))
+            for a, b in zip([*got[:3], *got[3]], [*ref[:3], *ref[3]], strict=True):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_backward_matches_central_differences(self, n_heads):
         """attention_backward against central differences of sum(g * fused) in the
-        features and the confidence, the ego's queries held fixed."""
+        collaborators' features and the confidence, the ego's queries held fixed."""
         rng = np.random.default_rng(33 + n_heads)
         params = AttentionParams.random(4, n_heads, seed=7 + n_heads, scale=0.6)
         ego = rng.normal(size=(5, 4))
@@ -485,6 +494,7 @@ class TestKernelMatchesOracles:
         g = rng.normal(size=(5, 4))
 
         def objective(f, c):
+            f = np.concatenate([feats[:1], f])
             return float(np.sum(g * attention(ego, f, present, c, params, np.sum)[0]))
 
         tape = attention(ego, feats, present, confidence, params, np.sum)[3]
@@ -492,12 +502,12 @@ class TestKernelMatchesOracles:
         assert tape == []
         eps = 1e-6
         for which, grad in enumerate((d_feats, d_conf)):
-            x = (feats, confidence)[which]
+            x = (feats[1:], confidence)[which]
             numeric = np.zeros(x.shape)
             for i in np.ndindex(x.shape):
                 step = np.zeros(x.shape)
                 step[i] = eps
-                plus, minus = [feats, confidence], [feats, confidence]
+                plus, minus = [feats[1:], confidence], [feats[1:], confidence]
                 plus[which], minus[which] = x + step, x - step
                 numeric[i] = (objective(*plus) - objective(*minus)) / (2 * eps)
             assert grad.shape == x.shape

@@ -245,6 +245,34 @@ class TestSectorsOf:
         assert sectors_of([9.5], [8.5], part).tolist() == [0]
         assert sector_of_point(9.5, 8.5, part) == 0
 
+    def test_snap_sweep_across_every_boundary_and_up_to_360(self):
+        """Angles swept across each boundary in 1e-10 degree steps, as far as 2.5
+        times the snap on either side, and the axes: points exactly on a boundary,
+        within the snap of one, just past it and just short of 360 all follow the
+        scalar oracle, together and one point per call."""
+        offsets = np.linspace(-2.5e-9, 2.5e-9, 51)
+        seen = set()
+        for part in PARTITIONS:
+            ox, oy = part.frame_origin
+            turns = [math.radians(lo + off) + part.frame_heading
+                     for lo, _ in part.boundaries for off in offsets]
+            turns += [k * math.pi / 2 for k in range(4)]
+            pts = [(ox + r * math.cos(t), oy + r * math.sin(t))
+                   for t in turns for r in (0.5, 7.0, 3e3)]
+            xs, ys = np.array(pts).T
+            want = [sector_of_point(x, y, part) for x, y in pts]
+            assert sectors_of(xs, ys, part).tolist() == want
+            assert [sectors_of([x], [y], part)[0] for x, y in pts] == want
+            bounds = np.array([lo for lo, _ in part.boundaries] + [360.0])
+            ang = np.array([math.degrees(math.atan2(y - oy, x - ox) - part.frame_heading)
+                            % 360.0 for x, y in pts])
+            gap = np.abs(ang[:, None] - bounds).min(axis=1)
+            seen.update({"on" if g == 0.0 else "near" if g <= 1e-9 else "past"
+                         for g in gap[gap < 3e-9]})
+            if ((ang >= 360.0 - 1e-9) & (ang < 360.0)).any():
+                seen.add("short of 360")
+        assert seen == {"on", "near", "past", "short of 360"}
+
     def test_empty_input(self):
         for part in PARTITIONS:
             got = sectors_of(np.empty(0), np.empty(0), part)

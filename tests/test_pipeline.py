@@ -5,7 +5,7 @@ from multiprocessing.reduction import ForkingPickler
 import numpy as np
 import pytest
 
-from dircp import fusion, pipeline
+from dircp import fusion, learn, pipeline
 from dircp.comms import ScorerParams, build_message, serialize
 from dircp.fusion import AttentionParams, ego_only
 from dircp.learn import training_scenes
@@ -204,3 +204,35 @@ class TestSceneMemo:
                         run_pipeline(sent.scene, method, budget, settings, scorer)), \
                         (method, budget)
         assert calls == []
+
+
+class TestBoxesOnDemand:
+    """A run's boxes are decoded from its fused map on first read, and a run no
+    one reads the boxes of decodes nothing."""
+
+    @pytest.mark.parametrize("method", pipeline.METHODS)
+    def test_boxes_are_the_fused_maps_decode_made_once(self, monkeypatch, method):
+        settings = RunSettings(conf_threshold=0.6)
+        scene = prepare_scene(generate(ScenarioConfig(seed=3, **WORLDS["dense"])), settings)
+        calls = []
+        monkeypatch.setattr(pipeline, "decode",
+                            lambda *a: calls.append(a) or fusion.decode(*a))
+        result = run_pipeline(scene, method, 0.1, settings)
+        assert calls == [] and result.conf_threshold == 0.6
+        boxes = result.boxes
+        assert result.boxes is boxes and len(calls) == 1
+        want = fusion.decode(result.fused, settings.conf_threshold)
+        assert want and [repr(b.as_tuple()) for b in boxes] == \
+            [repr(b.as_tuple()) for b in want]
+
+    def test_hard_path_loss_never_decodes(self, monkeypatch):
+        settings = RunSettings()
+        tscene = training_scenes(ScenarioConfig(seed=8), settings, 1)[0]
+        scorer = TestSceneMemo.SCORERS[1]
+        want = [learn.hard_path_loss(p, tscene, 0.2, settings) for p in (None, scorer)]
+
+        def no_decode(*args):
+            raise AssertionError("hard_path_loss decoded boxes")
+
+        monkeypatch.setattr(pipeline, "decode", no_decode)
+        assert [learn.hard_path_loss(p, tscene, 0.2, settings) for p in (None, scorer)] == want
