@@ -1,7 +1,9 @@
-"""Golden outputs: the sha256 of every artifact of small default-config CLI runs.
+"""Golden outputs: the sha256 of every artifact of small CLI runs.
 
-Each command runs on small worlds with the default fusion settings (identity
-init, whose bytes tests/test_kernels.py shows do not depend on the BLAS kernels).
+Each command runs on small worlds, on the default config or on WIDE, which takes
+the non-default scenario, direction and comms paths. Both keep the default fusion
+settings (identity init, whose bytes tests/test_kernels.py shows do not depend on
+the BLAS kernels).
 Every file it writes is hashed, effective.cfg without its `directory` line, and so
 is `dircp train`'s summary line. A change that means to change an output
 re-records tests/golden.json in the same change:
@@ -27,12 +29,34 @@ n_vehicles = 8
 [eval]
 seeds = 1,2
 """
+WIDE = """
+[scenario]
+seed = 5
+area_side = 32
+n_collaborators = 6
+n_vehicles = 8
+density_profile = 0.5,0.2,0.1,0.2
+dropout_prob = 0.1
+
+[direction]
+boundaries = 0:45,45:180,180:300,300:360
+
+[comms]
+q0_mode = confidence_gap
+q_max = 0.05
+
+[eval]
+seeds = 3,4
+"""
+# run name -> (config text, command and flags)
 RUNS = {
-    "run": ["run"],
-    "sweep_jobs1": ["sweep", "--budgets", "0.05,0.2", "--seeds", "2", "--jobs", "1"],
-    "sweep_jobs2": ["sweep", "--budgets", "0.05,0.2", "--seeds", "2", "--jobs", "2"],
-    "train": ["train", "--steps", "3", "--batch", "2"],
-    "export-scene": ["export-scene"],
+    "run": (CONFIG, ["run"]),
+    "sweep_jobs1": (CONFIG, ["sweep", "--budgets", "0.05,0.2", "--seeds", "2", "--jobs", "1"]),
+    "sweep_jobs2": (CONFIG, ["sweep", "--budgets", "0.05,0.2", "--seeds", "2", "--jobs", "2"]),
+    "train": (CONFIG, ["train", "--steps", "3", "--batch", "2"]),
+    "export-scene": (CONFIG, ["export-scene"]),
+    "wide_run": (WIDE, ["run"]),
+    "wide_sweep": (WIDE, ["sweep", "--budgets", "0.02,0.1", "--seeds", "2", "--jobs", "1"]),
 }
 
 
@@ -43,10 +67,10 @@ def sha256(data: bytes) -> str:
 def artifact_digests(tmp: Path, read_stdout) -> dict[str, str]:
     """{run/file: sha256} over every run's output directory, plus each
     non-empty stdout; read_stdout() returns what was printed since its last call."""
-    config = tmp / "golden.cfg"
-    config.write_text(CONFIG, encoding="utf-8")
     digests = {}
-    for name, (command, *flags) in RUNS.items():
+    for name, (text, (command, *flags)) in RUNS.items():
+        config = tmp / f"{name}.cfg"
+        config.write_text(text, encoding="utf-8")
         out = tmp / name
         assert main([command, str(config), *flags, "--output", str(out)]) == 0, name
         printed = read_stdout()
