@@ -123,8 +123,7 @@ def cmd_run(args) -> int:
         world = generate(replace(cfg.scenario, seed=seed), grid=cfg.grid)
         scene = prepare_scene(world, cfg.settings)
         for method in cfg.methods:
-            params = None if method == "single" else scorer
-            pipe = run_pipeline(scene, method, cfg.settings.q_max, cfg.settings, params)
+            pipe = run_pipeline(scene, method, cfg.settings.q_max, cfg.settings, scorer)
             results.append(score_result(world, scene, pipe, cfg.settings.q_max,
                                         cfg.settings))
             if first_run is None:

@@ -177,11 +177,6 @@ class ScorerParams:
                    parts[2].reshape(hidden, hidden), parts[3], parts[4],
                    float(parts[5][0]))
 
-    def scaled_add(self, grads: "ScorerParams", factor: float) -> "ScorerParams":
-        return ScorerParams(self.w1 + factor * grads.w1, self.b1 + factor * grads.b1,
-                            self.w2 + factor * grads.w2, self.b2 + factor * grads.b2,
-                            self.w3 + factor * grads.w3, self.b3 + factor * grads.b3)
-
 
 def _stack_inputs(q0: np.ndarray, pe: np.ndarray, de: np.ndarray) -> np.ndarray:
     """Broadcast (q0, pe, de) to a common (H, W, K, 3) input tensor."""

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .comms import SCORERS, TIE_BREAKS, WIRE_U16_MAX
 from .direction import default_sigma1
+from .geometry import SectorPartition
 from .grid import GridSpec
 from .pipeline import INIT_MODES, METHODS, Q0_MODES, RunSettings
 from .scenario import SEED_RANGE, ScenarioConfig
@@ -289,6 +290,11 @@ def load_config(path: str | Path | None = None,
           "direction.interest_weights length must equal n_dir")
     check(len(sc["density_profile"]) == di["n_dir"],
           "scenario.density_profile length must equal direction.n_dir")
+    if di["boundaries"] is not None:  # the partition prepare_scene builds, at any origin
+        try:
+            SectorPartition(di["n_dir"], di["boundaries"], (0.0, 0.0), 0.0)
+        except ValueError as exc:
+            errors.append(f"direction.boundaries: {exc}")
     for section, key, allowed in (("comms", "q0_mode", Q0_MODES),
                                   ("comms", "tie_break", TIE_BREAKS),
                                   ("comms", "scorer", SCORERS),
@@ -304,6 +310,9 @@ def load_config(path: str | Path | None = None,
     check(bool(ev["methods"]) and all(m in METHODS for m in ev["methods"]),
           f"eval.methods must be drawn from {METHODS}")
     check(ou["directory"] != "", "output.directory must not be empty")
+    known = _parse_strs(SCHEMA["output"]["formats"][0])  # the default emits every format
+    check(set(ou["formats"]) <= set(known),
+          f"output.formats: unknown format in {ou['formats']}, expected some of {known}")
     check(gr["d"] % fu["n_heads"] == 0, "grid.d must be divisible by fusion.n_heads")
     check(0.0 <= di["sigma1"] <= 1.0, "direction.sigma1 must lie in [0, 1]")
     check(di["sigma2"] >= 0.0, "direction.sigma2 must be >= 0")

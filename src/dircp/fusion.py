@@ -14,7 +14,6 @@ from .grid import GridSpec
 from .num import canonical_sum, sigmoid
 
 KEY_EVIDENCE_GAIN = 2.0
-_EGO_ONLY_BLOCK = 512  # rows per attention call in ego_only
 
 
 @dataclass(frozen=True)
@@ -267,18 +266,12 @@ def dsa_weights(ego: BevFeatureMap, received: list[SparseFeatureMap | None],
 
 def ego_only(ego: BevFeatureMap, params: AttentionParams) -> np.ndarray:
     """The fused (H, W, D) map of the ego alone at weight 1.0 on every cell: what
-    fuse gives wherever no collaborator's map landed.
-
-    attention runs on blocks of rows, so no temporary spans the grid. Alone, the
-    ego's softmax gives it a weight of exactly 1.0.
+    fuse gives wherever no collaborator's map landed, from one attention pass over
+    all H*W rows (alone, the ego's softmax gives it a weight of exactly 1.0).
     """
     n = ego.grid.h * ego.grid.w
-    flat = ego.values.reshape(n, ego.d)
-    out = np.empty((n, ego.d))
-    for block in np.array_split(np.arange(n), -(-n // _EGO_ONLY_BLOCK)):
-        out[block] = _attend(flat[block][None], np.ones((1, len(block)), dtype=bool),
-                             np.empty((0, len(block))), params)[0]
-    return out.reshape(ego.values.shape)
+    return _attend(ego.values.reshape(1, n, ego.d), np.ones((1, n), dtype=bool),
+                   np.empty((0, n)), params)[0].reshape(ego.values.shape)
 
 
 def fuse(ego: BevFeatureMap, weights: DsaWeights, ego_only_map: np.ndarray) -> FusedMap:

@@ -133,13 +133,14 @@ def far_apart_pairs(a_boxes, b_boxes) -> np.ndarray:
     return dx * dx + dy * dy > r * r
 
 
+def _overlap(corners_a, corners_b) -> float:
+    """Area of the clip of two convex polygons; 0.0 under three vertices."""
+    poly = _clip_polygon(corners_a, corners_b)
+    return abs(_polygon_area(poly)) if len(poly) >= 3 else 0.0
+
+
 def intersection_area(a: RotatedBox, b: RotatedBox) -> float:
-    if _far_apart(a, b):
-        return 0.0
-    poly = _clip_polygon(box_corners(a), box_corners(b))
-    if len(poly) < 3:
-        return 0.0
-    return abs(_polygon_area(poly))
+    return 0.0 if _far_apart(a, b) else _overlap(box_corners(a), box_corners(b))
 
 
 def iou(a: RotatedBox, b: RotatedBox) -> float:
@@ -159,8 +160,7 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
     key_b = sorted((round(x, 12), round(y, 12)) for x, y in corners_b)
     if key_a == key_b:
         return 1.0
-    poly = _clip_polygon(corners_a, corners_b)
-    inter = abs(_polygon_area(poly)) if len(poly) >= 3 else 0.0
+    inter = _overlap(corners_a, corners_b)
     if inter <= _EPS_AREA:
         return 0.0
     # Shoelace areas keep inter/union float-consistent so iou(a, a) == 1.0.

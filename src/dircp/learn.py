@@ -314,19 +314,20 @@ def train_scorer(params: ScorerParams, scenes: list[TrainScene], budget: float,
                            for ts in scenes]))
     for step in range(steps):
         losses = []
-        grad_acc = ScorerParams.zeros(current.hidden)
+        grad_acc = 0.0
         per_dir_acc = np.zeros(settings.n_dir)
         for ts in scenes:
             loss, grads, per_dir = soft_forward(current, ts, budget, settings)
             losses.append(loss)
-            grad_acc = grad_acc.scaled_add(grads, 1.0)
+            grad_acc = grad_acc + grads.to_vector()
             per_dir_acc += per_dir
         mean_loss = float(np.mean(losses))
         if not math.isfinite(mean_loss):
             raise DivergedTraining(f"loss {mean_loss} at step {step}")
         history.append({"step": step, "dw_loss": mean_loss,
                         "per_direction": list(per_dir_acc / len(scenes))})
-        current = current.scaled_add(grad_acc, -learning_rate / len(scenes))
+        current = ScorerParams.from_vector(
+            current.to_vector() + (-learning_rate / len(scenes)) * grad_acc, current.hidden)
     hard1 = float(np.mean([hard_path_loss(current, ts, budget, settings)
                            for ts in scenes]))
     return TrainResult(params=current, history=history,

@@ -65,6 +65,10 @@ class RunSettings:
     tau: float = 0.05
     iou_thresholds: tuple[float, ...] = (0.5, 0.7)
 
+    def __post_init__(self):
+        if not (0.0 < self.conf_threshold < 1.0):
+            raise ValueError("conf_threshold must lie in (0, 1)")
+
     def effective_sigma1(self) -> float:
         return default_sigma1(self.n_dir) if self.sigma1 is None else self.sigma1
 

@@ -208,6 +208,8 @@ BAD_CONFIG_VALUES = [
     ("fusion.seed", "-1", "init_mode = random\n"),
     ("eval.seeds", "18446744073709551616", ""),
     ("eval.seeds", "-9223372036854775809", ""),
+    ("direction.boundaries", "0:90,90:360", ""),
+    ("direction.boundaries", "0:90,90:180,180:270,270:350", ""),
 ]
 
 
@@ -221,6 +223,14 @@ def test_bad_config_value_exit_2_names_key(tmp_path, capsys, key, value, extra):
                     f"[output]\ndirectory = {tmp_path}\n", encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_unknown_output_format_exit_2_names_key(tmp_path, capsys):
+    """Apart from BAD_CONFIG_VALUES, whose configs end in their own [output]."""
+    path, out = tmp_path / "bad.cfg", tmp_path / "out"
+    path.write_text(f"[output]\nformats = json,jsn\ndirectory = {out}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "output.formats" in capsys.readouterr().err and not out.exists()
 
 
 ADDRESS_SPACE = 2 * 1024**3  # bytes: the child fails a large allocation, not the host

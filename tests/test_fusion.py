@@ -396,8 +396,8 @@ class TestEgoOnly:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 513), (27, 19),
                                        (33, 31), (64, 64)])
     def test_equals_one_pass_over_the_whole_grid(self, shape, params):
-        """Blocks keep each row's bits, and no row takes matmul's one-row (gemv)
-        path: a 1x1 grid's lone row runs twice."""
+        """ego_only is attention's one pass over the grid's rows, none of them on
+        matmul's one-row (gemv) path: a 1x1 grid's lone row runs twice."""
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         values = rng.normal(size=(*shape, 8))
         values[0, 0, :3] = -0.0

@@ -1,5 +1,5 @@
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -224,6 +224,14 @@ class TestBoxesOnDemand:
         want = fusion.decode(result.fused, settings.conf_threshold)
         assert want and [repr(b.as_tuple()) for b in boxes] == \
             [repr(b.as_tuple()) for b in want]
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_a_bad_conf_threshold_fails_in_the_settings(self, value):
+        """Not late, at the first read of .boxes: replace() checks it too."""
+        with pytest.raises(ValueError, match="conf_threshold"):
+            RunSettings(conf_threshold=value)
+        with pytest.raises(ValueError, match="conf_threshold"):
+            replace(RunSettings(), conf_threshold=value)
 
     def test_hard_path_loss_never_decodes(self, monkeypatch):
         settings = RunSettings()
